@@ -24,6 +24,7 @@ from .analysis import (
     fd_hessian,
     fd_third_tensor,
     lipschitz_oracle,
+    plan_error_bound,
     relative_error,
 )
 from .calculus import (
@@ -31,6 +32,7 @@ from .calculus import (
     EvaluatedStencil,
     GradientEstimate,
     Objective,
+    StencilPlan,
     centered_gradient,
     centered_hessian_diagonal,
     diag_model_eval,
@@ -74,6 +76,7 @@ __all__ = [
     "SampleDirections",
     "SetKind",
     "StencilError",
+    "StencilPlan",
     "absolute_error",
     "build_set",
     "centered_gradient",
@@ -93,6 +96,7 @@ __all__ = [
     "load_directions",
     "matrix_parts",
     "operator_norm_l2",
+    "plan_error_bound",
     "pseudoinverse",
     "regular_basis",
     "relative_error",

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from .calculus import StencilPlan
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError
 from .linalg import as_matrix, as_vector, matrix_parts
 from .sets import SampleDirections
@@ -20,6 +21,7 @@ __all__ = [
     "BoundBreakdown",
     "cross_term_sum",
     "error_bound",
+    "plan_error_bound",
     "relative_error",
     "absolute_error",
     "lipschitz_oracle",
@@ -87,25 +89,33 @@ def error_bound(S: SampleDirections, lipschitz: float, hess_at_x0) -> BoundBreak
     on the ball of the stencil radius around the point of interest.  Raises
     :class:`BoundInapplicableError` when W = S .* S lacks full row rank.
     """
+    cross = 2.0 * cross_term_sum(S, hess_at_x0)
+    return plan_error_bound(StencilPlan(S), S.radius, lipschitz, cross)
+
+
+def plan_error_bound(
+    plan: StencilPlan, radius: float, lipschitz: float, cross_term: float
+) -> BoundBreakdown:
+    """:func:`error_bound` over the plan's set scaled to ``radius``.
+
+    ``cross_term`` is ``2 * cross_term_sum(S, hess_at_x0)``, which does not
+    depend on the scale; ``lipschitz`` bounds the third derivative on the
+    ball of that radius.  Only the Lipschitz term changes with the scale.
+    """
     if not (np.isfinite(lipschitz) and lipschitz >= 0):
         raise ParameterError(f"Lipschitz constant must be finite and nonnegative, got {lipschitz}")
-    H = _validated_hessian(S, hess_at_x0)
-    wt = S.scaled_squared().T
-    s = np.linalg.svd(wt, compute_uv=False)
-    cutoff = max(wt.shape) * _EPS * float(s[0])
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank < S.n:
+    S = plan.directions
+    if plan.w_rank_deficient:
         raise BoundInapplicableError(
-            f"W = S .* S must have full row rank {S.n}, numerical rank is {rank}"
+            f"W = S .* S must have full row rank {S.n}, numerical rank is {plan.w_rank}"
         )
-    pinv_norm = 1.0 / float(s[S.n - 1])
-    lip_term = (S.k / 12.0) * lipschitz * S.radius**2
-    cross = 2.0 * cross_term_sum(S, H)
-    total = pinv_norm * (lip_term + cross)
+    pinv_norm = 1.0 / plan.w_sigma_min
+    lip_term = (S.k / 12.0) * lipschitz * radius**2
+    total = pinv_norm * (lip_term + cross_term)
     corollary = None
-    if S.is_lonely():
-        corollary = pinv_norm * (np.sqrt(S.k) / 12.0) * lipschitz * S.radius**2
-    return BoundBreakdown(pinv_norm, lip_term, cross, total, corollary)
+    if plan.is_lonely:
+        corollary = pinv_norm * (np.sqrt(S.k) / 12.0) * lipschitz * radius**2
+    return BoundBreakdown(pinv_norm, lip_term, cross_term, total, corollary)
 
 
 def relative_error(approx, truth) -> float:

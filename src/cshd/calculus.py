@@ -5,18 +5,22 @@ The two estimates are the generalized centered simplex gradient
 ``pinv(W^T) @ eps`` with ``W = S .* S``.  Both accept arbitrary direction
 matrices: the pseudoinverse handles under- and over-determined sample sets,
 returning the least-squares / minimum-norm solution.
+
+A :class:`StencilPlan` factors a direction set once and serves every scale
+h of it through the exact identities ``pinv((hS)^T) = pinv(S^T) / h`` and
+``W(hS) = h^2 W(S)``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import ParameterError, StencilError
-from .linalg import as_vector, pseudoinverse, svd_rank
+from .linalg import as_vector, pinv_factors
 from .sets import SampleDirections
 
 __all__ = [
@@ -24,6 +28,7 @@ __all__ = [
     "EvaluatedStencil",
     "GradientEstimate",
     "DiagHessianEstimate",
+    "StencilPlan",
     "evaluate_stencil",
     "centered_gradient",
     "centered_hessian_diagonal",
@@ -118,10 +123,10 @@ def evaluate_stencil(
     """Evaluate *f* on the centered stencil over *S*.
 
     Uses 2k evaluations for the +-s_i points plus one for f(x0), unless
-    ``known_f0`` is supplied, in which case the Hessian-diagonal data costs
-    nothing beyond the gradient stencil.  Evaluation failures (exceptions or
-    non-finite values) raise :class:`StencilError` naming the offending
-    point.
+    ``known_f0`` is supplied (it must be finite), in which case the
+    Hessian-diagonal data costs nothing beyond the gradient stencil.
+    Evaluation failures (exceptions or non-finite values) raise
+    :class:`StencilError` naming the offending point.
     """
     x0 = as_vector(x0, "x0")
     if x0.size != S.n:
@@ -131,6 +136,8 @@ def evaluate_stencil(
         extra = 1
     else:
         f0 = float(known_f0)
+        if not np.isfinite(f0):
+            raise ParameterError(f"known_f0 must be finite, got {known_f0!r}")
         extra = 0
     cols = S.matrix.T
     plus = np.array([_eval_at(f, x0 + s, f"x0 + s{i}") for i, s in enumerate(cols, start=1)])
@@ -141,23 +148,71 @@ def evaluate_stencil(
     return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, 2 * S.k + extra)
 
 
+@dataclass(frozen=True, eq=False)
+class StencilPlan:
+    """The factors of a direction set S that every scale h*S shares.
+
+    Built from one SVD of S and one of W = S .* S.  ``grad_map`` is
+    pinv(S^T), ``diag_map`` is pinv(W^T), ``w_rank`` the numerical rank of
+    W and ``w_sigma_min`` the n-th singular value of the radius-normalized
+    W~ = W / radius^2 (0 when W has fewer than n columns).  All of them are
+    fixed linear-algebra facts of S; only the stencil values and the
+    factors 1/h and 1/h^2 change with the scale.
+    """
+
+    directions: SampleDirections
+    grad_map: np.ndarray = field(init=False, repr=False)
+    diag_map: np.ndarray = field(init=False, repr=False)
+    w_rank: int = field(init=False)
+    w_sigma_min: float = field(init=False)
+    is_lonely: bool = field(init=False)
+
+    def __post_init__(self):
+        S = self.directions
+        grad_map = pinv_factors(S.matrix).pinv.T
+        w = pinv_factors(S.squared())
+        diag_map = w.pinv.T
+        sigma_n = float(w.singular_values[S.n - 1]) if S.k >= S.n else 0.0
+        for a in (grad_map, diag_map):
+            a.flags.writeable = False
+        object.__setattr__(self, "grad_map", grad_map)
+        object.__setattr__(self, "diag_map", diag_map)
+        object.__setattr__(self, "w_rank", w.rank)
+        object.__setattr__(self, "w_sigma_min", sigma_n / S.radius**2)
+        object.__setattr__(self, "is_lonely", S.is_lonely())
+
+    @property
+    def w_rank_deficient(self) -> bool:
+        """True when W = S .* S lacks full row rank."""
+        return self.w_rank < self.directions.n
+
+    def estimates(
+        self, stencil: EvaluatedStencil, S: SampleDirections, h: float = 1.0
+    ) -> tuple[GradientEstimate, DiagHessianEstimate]:
+        """The gradient and Hessian-diagonal estimates from a stencil
+        evaluated over ``S = h * self.directions``:
+        ``pinv(S^T) @ delta_c / h`` and ``pinv(W^T) @ eps / h^2``."""
+        if stencil.delta_c.size != self.directions.k or S.k != self.directions.k:
+            raise ParameterError("stencil was built over a different direction set")
+        g = self.grad_map @ stencil.delta_c / h
+        d = self.diag_map @ stencil.eps / h**2
+        if not (np.isfinite(g).all() and np.isfinite(d).all()):
+            raise ParameterError(f"scale h={h!r} is too small: the estimates are not finite")
+        return (
+            GradientEstimate(g, S, stencil.x0),
+            DiagHessianEstimate(d, S, stencil.x0, w_rank_deficient=self.w_rank_deficient),
+        )
+
+
 def centered_gradient(stencil: EvaluatedStencil, S: SampleDirections) -> GradientEstimate:
     """g = pinv(S^T) @ delta_c, the generalized centered simplex gradient."""
-    if stencil.delta_c.size != S.k:
-        raise ParameterError("stencil was built over a different direction set")
-    g = pseudoinverse(S.matrix.T) @ stencil.delta_c
-    return GradientEstimate(g, S, stencil.x0)
+    return StencilPlan(S).estimates(stencil, S)[0]
 
 
 def centered_hessian_diagonal(stencil: EvaluatedStencil, S: SampleDirections) -> DiagHessianEstimate:
     """d = pinv(W^T) @ eps with W = S .* S, the centered simplex Hessian
     diagonal."""
-    if stencil.eps.size != S.k:
-        raise ParameterError("stencil was built over a different direction set")
-    W = S.squared()
-    _, rank = svd_rank(W)
-    d = pseudoinverse(W.T) @ stencil.eps
-    return DiagHessianEstimate(d, S, stencil.x0, w_rank_deficient=rank < S.n)
+    return StencilPlan(S).estimates(stencil, S)[1]
 
 
 def diag_model_eval(x, x0, f0: float, g, d) -> float:

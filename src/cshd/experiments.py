@@ -7,23 +7,16 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import (
-    BoundBreakdown,
-    absolute_error,
-    convergence_order,
-    error_bound,
-    relative_error,
-)
+from .analysis import BoundBreakdown, convergence_order, cross_term_sum, plan_error_bound
 from .calculus import (
     DiagHessianEstimate,
     EvaluatedStencil,
     GradientEstimate,
-    centered_gradient,
-    centered_hessian_diagonal,
+    StencilPlan,
     evaluate_stencil,
 )
 from .exceptions import ParameterError
@@ -105,23 +98,65 @@ class ApproxResult:
     objective: object = None  # the counting Objective that was evaluated
 
 
-def _error_columns(func: RegistryFunction, point: np.ndarray, g: np.ndarray, d: np.ndarray):
-    truth_diag = func.diag_hessian(point)
-    truth_grad = func.gradient(point)
-    abs_diag = absolute_error(d, truth_diag)
-    rer_diag = (
-        relative_error(d, truth_diag) if np.linalg.norm(truth_diag) > 0.0 else None
-    )
-    rer_grad = (
-        relative_error(g, truth_grad) if np.linalg.norm(truth_grad) > 0.0 else None
-    )
-    return rer_diag, abs_diag, rer_grad
-
-
 def _certified_lipschitz(func: RegistryFunction, point: np.ndarray, radius: float) -> float:
     if func.lipschitz_d3 is None:
         raise ParameterError(f"no certified third-derivative Lipschitz bound for {func.name}")
     return float(func.lipschitz_d3(point, radius))
+
+
+def _checked_point(func: RegistryFunction, point) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (func.dim,):
+        raise ParameterError(f"{func.name} expects a point in R^{func.dim}, got {point.shape}")
+    return point
+
+
+class _RowBuilder:
+    """Report rows at one point over one direction set at any scale.
+
+    Everything that depends on the point or the unit-scale set and not on h
+    is computed once here: the set's :class:`StencilPlan`, the analytic
+    gradient and diagonal with their norms and, with a bound, the
+    scale-invariant cross term.
+    """
+
+    def __init__(self, func: RegistryFunction, point: np.ndarray, set_name: str,
+                 unit: SampleDirections, with_bound: bool):
+        self.func = func
+        self.point = point
+        self.label = fmt_point(point)
+        self.set_name = set_name
+        self.plan = StencilPlan(unit)
+        self.truth_grad = func.gradient(point)
+        self.truth_diag = func.diag_hessian(point)
+        self.grad_norm = float(np.linalg.norm(self.truth_grad))
+        self.diag_norm = float(np.linalg.norm(self.truth_diag))
+        self.cross = 2.0 * cross_term_sum(unit, func.hessian(point)) if with_bound else None
+
+    def row(self, obj, S: SampleDirections, h: float, known_f0: float | None):
+        """Evaluate the stencil over ``S = h * unit`` and build its row."""
+        stencil = evaluate_stencil(obj, self.point, S, known_f0=known_f0)
+        g, d = self.plan.estimates(stencil, S, h)
+        bound = None
+        if self.cross is not None:
+            lip = _certified_lipschitz(self.func, self.point, S.radius)
+            bound = plan_error_bound(self.plan, S.radius, lip, self.cross)
+        abs_diag = float(np.linalg.norm(d.value - self.truth_diag))
+        err_grad = float(np.linalg.norm(g.value - self.truth_grad))
+        row = ReportRow(
+            function=self.func.name,
+            point=self.label,
+            set_name=self.set_name,
+            h=h,
+            delta_s=S.radius,
+            rer_diag=abs_diag / self.diag_norm if self.diag_norm > 0.0 else None,
+            abs_err_diag=abs_diag,
+            rer_grad=err_grad / self.grad_norm if self.grad_norm > 0.0 else None,
+            bound_total=bound.total if bound else None,
+            bound_cross=bound.cross_term if bound else None,
+            evals=stencil.evals_used,
+        )
+        return row, g, d, stencil, bound
 
 
 def run_approx(
@@ -133,35 +168,13 @@ def run_approx(
     known_f0: float | None = None,
 ) -> ApproxResult:
     """One gradient + Hessian-diagonal approximation over S, with errors
-    against the analytic truth and (optionally) the error-bound breakdown."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (func.dim,):
-        raise ParameterError(
-            f"{func.name} expects a point in R^{func.dim}, got {point.shape}"
-        )
+    against the analytic truth and (optionally) the error-bound breakdown.
+    ``h`` only labels the row: S is used as given."""
+    point = _checked_point(func, point)
     obj = func.objective()
-    stencil = evaluate_stencil(obj, point, S, known_f0=known_f0)
-    g = centered_gradient(stencil, S)
-    d = centered_hessian_diagonal(stencil, S)
-    rer_diag, abs_diag, rer_grad = _error_columns(func, point, g.value, d.value)
-    bound = None
-    if with_bound:
-        lip = _certified_lipschitz(func, point, S.radius)
-        bound = error_bound(S, lip, func.hessian(point))
-    row = ReportRow(
-        function=func.name,
-        point=fmt_point(point),
-        set_name=S.kind.value,
-        h=h,
-        delta_s=S.radius,
-        rer_diag=rer_diag,
-        abs_err_diag=abs_diag,
-        rer_grad=rer_grad,
-        bound_total=bound.total if bound else None,
-        bound_cross=bound.cross_term if bound else None,
-        evals=stencil.evals_used,
-    )
-    return ApproxResult(g, d, stencil, row, bound, obj)
+    builder = _RowBuilder(func, point, S.kind.value, S, with_bound)
+    row, g, d, stencil, bound = builder.row(obj, S, 1.0, known_f0)
+    return ApproxResult(g, d, stencil, replace(row, h=h), bound, obj)
 
 
 def _grid_rows(
@@ -172,40 +185,23 @@ def _grid_rows(
     custom: SampleDirections | None,
     with_bound: bool,
 ):
-    """Rows for a descending-h grid, sharing a single f(x0) evaluation."""
+    """Rows for a descending-h grid over one factored unit-scale set,
+    sharing a single f(x0) evaluation."""
+    unit = build_scaled_set(kind, func.dim, 1.0, custom)
+    builder = _RowBuilder(func, point, kind.value, unit, with_bound)
     obj = func.objective()
     f0 = obj(point)
-    truth_diag = func.diag_hessian(point)
-    truth_norm = float(np.linalg.norm(truth_diag))
-    rows = []
-    abs_errs = []
-    for h in hs:
-        S = build_scaled_set(kind, func.dim, float(h), custom)
-        stencil = evaluate_stencil(obj, point, S, known_f0=f0)
-        g = centered_gradient(stencil, S)
-        d = centered_hessian_diagonal(stencil, S)
-        rer_diag, abs_diag, rer_grad = _error_columns(func, point, g.value, d.value)
-        bound = None
-        if with_bound:
-            lip = _certified_lipschitz(func, point, S.radius)
-            bound = error_bound(S, lip, func.hessian(point))
-        rows.append(
-            ReportRow(
-                function=func.name,
-                point=fmt_point(point),
-                set_name=kind.value,
-                h=float(h),
-                delta_s=S.radius,
-                rer_diag=rer_diag,
-                abs_err_diag=abs_diag,
-                rer_grad=rer_grad,
-                bound_total=bound.total if bound else None,
-                bound_cross=bound.cross_term if bound else None,
-                evals=stencil.evals_used,
-            )
-        )
-        abs_errs.append(abs_diag)
-    return rows, np.array(abs_errs), f0, truth_norm
+    rows = [builder.row(obj, unit.scaled(h), h, f0)[0] for h in map(float, hs)]
+    return rows, np.array([r.abs_err_diag for r in rows]), f0, builder.diag_norm
+
+
+def _descending_grid(hs) -> np.ndarray:
+    hs = np.sort(np.asarray(hs, dtype=float))[::-1]
+    if hs.size < 1 or np.any(hs <= 0):
+        raise ParameterError("the h grid must contain positive values")
+    if np.unique(hs).size != hs.size:
+        raise ParameterError("the h grid contains duplicate values")
+    return hs
 
 
 def _metric(row: ReportRow) -> float:
@@ -231,14 +227,8 @@ def run_sweep(
 ) -> SweepResult:
     """Approximate over a descending h grid, fit the convergence order on the
     truncation-dominated rows, and locate the grid minimum of the error."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (func.dim,):
-        raise ParameterError(f"{func.name} expects a point in R^{func.dim}, got {point.shape}")
-    hs = np.sort(np.asarray(hs, dtype=float))[::-1]
-    if hs.size < 1 or np.any(hs <= 0):
-        raise ParameterError("the h grid must contain positive values")
-    if np.unique(hs).size != hs.size:
-        raise ParameterError("the h grid contains duplicate values")
+    point = _checked_point(func, point)
+    hs = _descending_grid(hs)
     rows, abs_errs, f0, truth_norm = _grid_rows(func, point, kind, hs, custom, with_bound)
 
     # Keep rows whose error is credibly truncation (above the round-off
@@ -282,12 +272,8 @@ def run_limit_study(
     """Estimate the small-h limit of the relative error as the median over
     the plateau window, report the grid infimum, and flag non-monotone
     behavior (error growing again as h shrinks past the grid minimum)."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (func.dim,):
-        raise ParameterError(f"{func.name} expects a point in R^{func.dim}, got {point.shape}")
-    hs = DEFAULT_LIMIT_GRID if hs is None else np.sort(np.asarray(hs, dtype=float))[::-1]
-    if np.any(hs <= 0):
-        raise ParameterError("the h grid must contain positive values")
+    point = _checked_point(func, point)
+    hs = DEFAULT_LIMIT_GRID if hs is None else _descending_grid(hs)
     rows, _, _, _ = _grid_rows(func, point, kind, hs, custom, with_bound=False)
     metrics = np.array([_metric(r) for r in rows])
 

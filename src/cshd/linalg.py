@@ -17,6 +17,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "pseudoinverse",
+    "PinvFactors",
+    "pinv_factors",
     "svd_rank",
     "hadamard",
     "operator_norm_l2",
@@ -53,19 +55,31 @@ def _svd_cutoff(shape: tuple[int, int], singular_values: np.ndarray) -> float:
     return max(shape) * _EPS * smax
 
 
-def pseudoinverse(A) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a dense real matrix.
+class PinvFactors(NamedTuple):
+    pinv: np.ndarray             # Moore-Penrose pseudoinverse
+    singular_values: np.ndarray  # descending, as returned by the SVD
+    rank: int                    # singular values above the cutoff
 
-    Computed via the singular value decomposition; singular values at or
-    below ``max(n, k) * sigma_max * eps`` are treated as zero, so
-    rank-deficient input yields the least-squares / minimum-norm inverse.
+
+def pinv_factors(A) -> PinvFactors:
+    """Pseudoinverse, singular values and numerical rank of *A* from one SVD.
+
+    Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
+    as zero, so rank-deficient input yields the least-squares /
+    minimum-norm inverse.
     """
     A = as_matrix(A)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     keep = s > _svd_cutoff(A.shape, s)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return PinvFactors((vt.T * inv) @ u.T, s, int(np.count_nonzero(keep)))
+
+
+def pseudoinverse(A) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a dense real matrix (see
+    :func:`pinv_factors` for the rank cutoff)."""
+    return pinv_factors(A).pinv
 
 
 def svd_rank(A) -> tuple[np.ndarray, int]:

@@ -59,10 +59,13 @@ class SampleDirections:
         norms = np.linalg.norm(m, axis=0)
         if np.any(norms == 0.0):
             raise ParameterError("every direction column must be nonzero")
-        for i in range(m.shape[1]):
-            for j in range(i + 1, m.shape[1]):
-                if np.array_equal(m[:, i], m[:, j]):
-                    raise ParameterError(f"direction columns {i} and {j} are identical")
+        # Columns keyed by their bytes; adding 0.0 turns -0.0 into 0.0, so
+        # keys are equal exactly when the columns compare equal.
+        first: dict[bytes, int] = {}
+        for j, col in enumerate(np.add(m.T, 0.0, order="C")):
+            i = first.setdefault(col.tobytes(), j)
+            if i != j:
+                raise ParameterError(f"direction columns {i} and {j} are identical")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "radius", float(norms.max()))

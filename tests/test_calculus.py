@@ -117,6 +117,13 @@ def test_stencil_dimension_mismatch():
         evaluate_stencil(lambda y: 0.0, np.zeros(3), build_set(SetKind.CB, 2, 1.0))
 
 
+def test_stencil_rejects_non_finite_known_f0():
+    S = build_set(SetKind.CB, 2, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="known_f0"):
+            evaluate_stencil(lambda y: 0.0, np.zeros(2), S, known_f0=bad)
+
+
 def test_gradient_exact_for_linear():
     rng = np.random.default_rng(10)
     a = rng.standard_normal(3)

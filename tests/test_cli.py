@@ -66,6 +66,14 @@ def test_exit_codes_for_input_errors():
     assert run_cli("approx", "--function", "rosenbrock2", "--point", "1,2").returncode == 2
 
 
+def test_approx_rejects_non_finite_f0():
+    res = run_cli(
+        "approx", "--function", "rosenbrock2", "--point", "0.9,0.81", "--set", "cb", "--f0", "nan"
+    )
+    assert res.returncode == 2
+    assert "f0" in res.stderr and "NaN or infinite entries" not in res.stderr
+
+
 def test_exit_code_bound_inapplicable(tmp_path):
     path = tmp_path / "rankdef.txt"
     path.write_text("2 2\n1 -1\n1 1\n")
@@ -199,6 +207,13 @@ def test_run_sweep_validates_grid():
         experiments.run_sweep(func, np.array([1.0, 1.0]), SetKind.CB, [0.1, 0.1])
     with pytest.raises(ParameterError):
         experiments.run_sweep(func, np.array([1.0, 1.0, 1.0]), SetKind.CB, [0.1, 0.01])
+
+
+def test_run_limit_study_rejects_duplicate_h():
+    func = get("rosenbrock2")
+    hs = [1e-2, 1e-2, 5e-3, 1e-3, 1e-4]
+    with pytest.raises(ParameterError, match="duplicate"):
+        experiments.run_limit_study(func, np.array([1.0, 1.0]), SetKind.CB, hs=hs)
 
 
 def test_run_limit_study_needs_plateau_points():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,27 @@ def test_directions_reject_zero_and_duplicate_columns():
         SampleDirections(np.array([[1.0, 1.0], [2.0, 2.0]]))
     with pytest.raises(ValueError):
         SampleDirections(np.array([[np.nan, 1.0], [0.0, 2.0]]))
+
+
+def test_duplicate_columns_named_and_signed_zeros_folded():
+    with pytest.raises(ParameterError, match="columns 0 and 1 are identical"):
+        SampleDirections(np.array([[1.0, 1.0], [0.0, -0.0]]))
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        # small integer entries make duplicates likely; random signs turn
+        # some zeros into -0.0, which must still compare equal to 0.0
+        m = rng.integers(-1, 2, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
+        distinct = len({tuple(c) for c in m.T.tolist()}) == k
+        if np.any(np.linalg.norm(m, axis=0) == 0.0):
+            continue
+        try:
+            SampleDirections(m)
+        except ParameterError as exc:
+            i, j = map(int, re.search(r"columns (\d+) and (\d+)", str(exc)).groups())
+            assert not distinct and i < j and np.array_equal(m[:, i], m[:, j])
+        else:
+            assert distinct
 
 
 def test_matrix_is_read_only():
