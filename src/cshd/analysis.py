@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import StencilPlan
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError
-from .linalg import as_matrix, as_vector, matrix_parts
+from .linalg import _EPS, as_matrix, as_vector, matrix_parts
 from .sets import SampleDirections
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "fd_diag_hessian",
     "fd_third_tensor",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def cross_term_sum(S: SampleDirections, hess) -> float:
     H = _validated_hessian(S, hess)
     U = matrix_parts(H).upper
     shat = S.unit_directions()
-    vals = np.einsum("ij,ik,kj->j", shat, U, shat)
+    vals = (shat * (U @ shat)).sum(axis=0)
     return float(np.abs(vals).sum())
 
 

@@ -13,6 +13,7 @@ h of it through the exact identities ``pinv((hS)^T) = pinv(S^T) / h`` and
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,6 +67,35 @@ class Objective:
             self._evals += 1
         return float(self._fn(x))
 
+    def values(self, points, label: Callable[[int], str] = "row {}".format) -> np.ndarray:
+        """f at each row of an ``(m, dim)`` array of points, in row order.
+
+        Counts one evaluation per row, including a row whose evaluation
+        raises.  A row whose rule raises or returns a non-finite value
+        raises :class:`StencilError` naming ``label(row index)`` and the
+        point.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ParameterError(
+                f"{self.name}: expected an (m, {self.dim}) array of points, got shape {points.shape}"
+            )
+        fn, lock = self._fn, self._lock
+        out = []
+        for r, x in enumerate(points):
+            with lock:
+                self._evals += 1
+            try:
+                value = float(fn(x))
+            except StencilError:
+                raise
+            except Exception as exc:
+                raise StencilError(f"evaluation failed at {label(r)} = {x.tolist()}: {exc}") from exc
+            if not math.isfinite(value):
+                raise StencilError(f"non-finite value {value!r} at {label(r)} = {x.tolist()}")
+            out.append(value)
+        return np.array(out)
+
 
 @dataclass(frozen=True)
 class EvaluatedStencil:
@@ -105,18 +135,6 @@ class DiagHessianEstimate:
     w_rank_deficient: bool = False
 
 
-def _eval_at(f, point: np.ndarray, label: str) -> float:
-    try:
-        value = float(f(point))
-    except StencilError:
-        raise
-    except Exception as exc:
-        raise StencilError(f"evaluation failed at {label} = {point.tolist()}: {exc}") from exc
-    if not np.isfinite(value):
-        raise StencilError(f"non-finite value {value!r} at {label} = {point.tolist()}")
-    return value
-
-
 def evaluate_stencil(
     f, x0, S: SampleDirections, known_f0: float | None = None
 ) -> EvaluatedStencil:
@@ -125,27 +143,40 @@ def evaluate_stencil(
     Uses 2k evaluations for the +-s_i points plus one for f(x0), unless
     ``known_f0`` is supplied (it must be finite), in which case the
     Hessian-diagonal data costs nothing beyond the gradient stencil.
-    Evaluation failures (exceptions or non-finite values) raise
+    The points are evaluated in one pass through :meth:`Objective.values`
+    (a plain callable is wrapped in a fresh :class:`Objective`): x0 first
+    when ``known_f0`` is not given, then every x0 + s_i, then every
+    x0 - s_i.  Evaluation failures (exceptions or non-finite values) raise
     :class:`StencilError` naming the offending point.
     """
     x0 = as_vector(x0, "x0")
     if x0.size != S.n:
         raise ParameterError(f"point dimension {x0.size} does not match directions in R^{S.n}")
+    cols = S.matrix.T
+    blocks = [x0 + cols, x0 - cols]
     if known_f0 is None:
-        f0 = _eval_at(f, x0, "x0")
-        extra = 1
+        blocks.insert(0, x0[np.newaxis])
+        head = 1
     else:
         f0 = float(known_f0)
-        if not np.isfinite(f0):
+        if not math.isfinite(f0):
             raise ParameterError(f"known_f0 must be finite, got {known_f0!r}")
-        extra = 0
-    cols = S.matrix.T
-    plus = np.array([_eval_at(f, x0 + s, f"x0 + s{i}") for i, s in enumerate(cols, start=1)])
-    minus = np.array([_eval_at(f, x0 - s, f"x0 - s{i}") for i, s in enumerate(cols, start=1)])
+        head = 0
+    k = S.k
+
+    def label(r: int) -> str:
+        r -= head
+        return "x0" if r < 0 else f"x0 {'+' if r < k else '-'} s{r % k + 1}"
+
+    obj = f if isinstance(f, Objective) else Objective(f, S.n)
+    vals = obj.values(np.concatenate(blocks), label)
+    if head:
+        f0 = float(vals[0])
+    plus, minus = vals[head:head + k], vals[head + k:]
     delta_c = 0.5 * (plus - minus)
     # Grouped as (f+ - f0) + (f- - f0) to limit cancellation against a large f0.
     eps = (plus - f0) + (minus - f0)
-    return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, 2 * S.k + extra)
+    return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, 2 * k + head)
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,10 +72,22 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+def _config_relative_set(value: str, config_dir: Path) -> str:
+    """A ``set`` value read from a config file: a relative ``custom:PATH``
+    is taken from the config file's directory, not from the cwd."""
+    text = value.strip()
+    prefix, path = text[:len("custom:")], text[len("custom:"):]
+    if prefix.lower() != "custom:" or not path:
+        return value
+    return prefix + str(config_dir / path)
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     cfg = _load_config(args.config)
+    if "set" in cfg:
+        cfg["set"] = _config_relative_set(cfg["set"], Path(args.config).parent)
     for key, value in cfg.items():
         if not hasattr(args, key):
             continue

@@ -20,6 +20,7 @@ from .calculus import (
     evaluate_stencil,
 )
 from .exceptions import ParameterError
+from .linalg import _EPS
 from .registry import RegistryFunction
 from .report import ExperimentReport, ReportRow, fmt_float, fmt_point
 from .sets import SampleDirections, SetKind, build_set
@@ -39,8 +40,6 @@ __all__ = [
     "run_limit_study",
     "run_reproduce",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # Exponents 10^0.5 .. 10^-6 in steps of 1/16: wide enough to catch interior
 # minima near h ~ 1.5 and deep enough to expose the round-off branch.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,7 +155,3 @@ class ExperimentReport:
         ]
         return ExperimentReport(rows, comments)
 
-
-def with_bound(row: ReportRow, total: float, cross: float) -> ReportRow:
-    """Copy of *row* with the bound columns filled in."""
-    return replace(row, bound_total=total, bound_cross=cross)

@@ -42,6 +42,21 @@ def test_cross_term_vanishes_for_lonely_sets():
         assert cross_term_sum(S, H) == 0.0
 
 
+def test_cross_term_matches_triple_sum():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 10, 200):
+        i, m = np.triu_indices(n, 1)
+        for _ in range(3 if n == 200 else 10):
+            S = SampleDirections(rng.standard_normal((n, n + int(rng.integers(0, 3)))))
+            assert not S.is_lonely()
+            H = rng.standard_normal((n, n))
+            H = H + H.T
+            shat = S.unit_directions()
+            # sum_{i<m} shat_ij U_im shat_mj for each column j
+            ref = sum(abs(float((shat[i, j] * H[i, m] * shat[m, j]).sum())) for j in range(S.k))
+            assert cross_term_sum(S, H) == pytest.approx(ref, rel=1e-12)
+
+
 def test_cross_term_scale_invariance():
     H = get("rosenbrock2").hessian(X1)
     base = build_set(SetKind.RMPB, 2, 1.0)

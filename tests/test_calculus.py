@@ -48,6 +48,20 @@ def test_objective_rejects_wrong_dimension():
     obj = Objective(lambda y: 0.0, 2)
     with pytest.raises(ParameterError):
         obj(np.zeros(3))
+    for shape in [(3,), (2,), (4, 3), (1, 1), (2, 2, 1)]:
+        with pytest.raises(ParameterError, match="array of points"):
+            obj.values(np.zeros(shape))
+    assert obj.evals == 0
+
+
+def test_objective_values_counts_rows_in_order():
+    seen = []
+    obj = Objective(lambda y: seen.append(y.copy()) or float(y.sum()), 2)
+    pts = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(obj.values(pts), pts.sum(axis=1))
+    assert obj.evals == 5
+    assert np.array_equal(np.array(seen), pts)
+    assert obj.values(np.zeros((0, 2))).shape == (0,) and obj.evals == 5
 
 
 def test_stencil_constant_function():
@@ -86,6 +100,42 @@ def test_stencil_accounting():
     obj2 = get("rosenbrock2").objective()
     st2 = evaluate_stencil(obj2, X1, S, known_f0=st.f0)
     assert st2.evals_used == 2 * S.k == obj2.evals
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 10):
+        for kind in SetKind:
+            if kind is SetKind.CUSTOM:
+                S = SampleDirections(rng.standard_normal((n, n + 1)))
+            else:
+                S = build_set(kind, n, float(rng.uniform(0.01, 1.0)))
+            x0 = rng.standard_normal(n)
+            obj = Objective(lambda y: float(y @ y), n)
+            st = evaluate_stencil(obj, x0, S)
+            assert st.evals_used == 2 * S.k + 1 == obj.evals
+            st2 = evaluate_stencil(obj, x0, S, known_f0=st.f0)
+            assert st2.evals_used == 2 * S.k == obj.evals - st.evals_used
+            assert np.array_equal(st2.eps, st.eps)
+
+
+def test_stencil_evaluation_order_and_points():
+    rng = np.random.default_rng(22)
+    for n in (2, 3, 10):
+        S = SampleDirections(rng.standard_normal((n, n + 2)))
+        x0 = rng.standard_normal(n)
+        seen = []
+
+        def f(y):
+            seen.append(y.copy())
+            return float(np.sin(y).sum())
+
+        st = evaluate_stencil(f, x0, S)  # a plain callable is accepted
+        cols = list(S.matrix.T)
+        expected = [x0] + [x0 + s for s in cols] + [x0 - s for s in cols]
+        assert len(seen) == len(expected) == st.evals_used
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+        assert st.f0 == f(x0)
+        assert np.array_equal(st.plus_vals, [f(x0 + s) for s in cols])
+        assert np.array_equal(st.minus_vals, [f(x0 - s) for s in cols])
 
 
 def test_stencil_block_system_consistency():
@@ -110,6 +160,31 @@ def test_stencil_error_identifies_point():
     S = build_set(SetKind.CB, 2, 0.2)
     with pytest.raises(StencilError, match="x0 \\+ s1"):
         evaluate_stencil(partial, np.array([1.0, 0.0]), S)
+
+
+def test_stencil_failure_names_minus_point_and_is_counted():
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        S = SampleDirections(rng.standard_normal((n, n + 1)))
+        x0 = rng.standard_normal(n)
+        j = int(rng.integers(1, S.k + 1))
+        bad_point = x0 - S.matrix[:, j - 1]
+        raises = trial % 2 == 0
+
+        def f(y):
+            if np.array_equal(y, bad_point):
+                if raises:
+                    raise RuntimeError("boom")
+                return float("nan")
+            return float(y @ y)
+
+        obj = Objective(f, n)
+        known_f0 = None if trial % 4 < 2 else 1.0
+        match = "evaluation failed" if raises else "non-finite value nan"
+        with pytest.raises(StencilError, match=f"{match} at x0 - s{j} = "):
+            evaluate_stencil(obj, x0, S, known_f0=known_f0)
+        assert obj.evals == (known_f0 is None) + S.k + j
 
 
 def test_stencil_dimension_mismatch():

@@ -171,6 +171,36 @@ def test_config_file_defaults(tmp_path):
     assert res4.stdout.startswith("| function |")  # config default applies
 
 
+def test_config_custom_path_is_relative_to_the_config_file(tmp_path, monkeypatch, capsys):
+    from cshd import cli
+
+    study = tmp_path / "study"
+    study.mkdir()
+    (study / "dirs.txt").write_text("2 3\n1 0 -1\n0 1 -1\n")
+    base = "function = rosenbrock2\npoint = 0.9,0.81\nh = 1e-3\n"
+    (study / "rel.cfg").write_text(base + "set = custom:dirs.txt\n")
+    (study / "abs.cfg").write_text(base + f"set = custom:{study / 'dirs.txt'}\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "dirs.txt").write_text("2 2\n1 0\n0 1\n")
+    monkeypatch.chdir(elsewhere)
+
+    def run(*argv):
+        code = cli.main(["approx", *argv])
+        out = capsys.readouterr().out
+        return code, ExperimentReport.from_csv(out).rows[0] if code == 0 else None
+
+    for cfg in ("rel.cfg", "abs.cfg"):
+        code, row = run("--config", str(study / cfg))
+        assert code == 0 and row.set_name == "custom" and row.evals == 7
+    # --set on the command line still reads from the cwd
+    code, row = run("--config", str(study / "rel.cfg"), "--set", "custom:dirs.txt")
+    assert code == 0 and row.evals == 5
+    # a relative path in the config does not fall back to the cwd
+    (study / "dirs.txt").unlink()
+    assert run("--config", str(study / "rel.cfg"))[0] == 2
+
+
 def test_parse_h_grid():
     hs = experiments.parse_h_grid("1e-1:1e-4:0.1")
     assert np.allclose(hs, [1e-1, 1e-2, 1e-3, 1e-4], rtol=1e-12)
