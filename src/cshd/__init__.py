@@ -37,6 +37,7 @@ from .calculus import (
     centered_hessian_diagonal,
     diag_model_eval,
     evaluate_stencil,
+    evaluate_stencils,
 )
 from .exceptions import (
     BoundInapplicableError,
@@ -86,6 +87,7 @@ __all__ = [
     "diag_model_eval",
     "error_bound",
     "evaluate_stencil",
+    "evaluate_stencils",
     "fd_diag_hessian",
     "fd_gradient",
     "fd_hessian",

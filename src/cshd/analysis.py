@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import StencilPlan
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError
-from .linalg import _EPS, as_matrix, as_vector, matrix_parts
+from .linalg import _EPS, as_matrix, as_vector
 from .sets import SampleDirections
 
 __all__ = [
@@ -73,7 +73,7 @@ def cross_term_sum(S: SampleDirections, hess) -> float:
     Scale invariant: replacing S by h*S leaves the value unchanged.
     """
     H = _validated_hessian(S, hess)
-    U = matrix_parts(H).upper
+    U = np.triu(H, 1)
     shat = S.unit_directions()
     vals = (shat * (U @ shat)).sum(axis=0)
     return float(np.abs(vals).sum())

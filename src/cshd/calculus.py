@@ -31,6 +31,7 @@ __all__ = [
     "DiagHessianEstimate",
     "StencilPlan",
     "evaluate_stencil",
+    "evaluate_stencils",
     "centered_gradient",
     "centered_hessian_diagonal",
     "diag_model_eval",
@@ -100,7 +101,10 @@ class Objective:
 @dataclass(frozen=True)
 class EvaluatedStencil:
     """Function values on the centered stencil x0, x0 +- s_i, and the
-    difference vectors derived from them."""
+    difference vectors derived from them.
+
+    From :func:`evaluate_stencils` the arrays have one row per scale h and
+    ``evals_used`` counts every point of them."""
 
     x0: np.ndarray
     f0: float
@@ -109,6 +113,13 @@ class EvaluatedStencil:
     delta_c: np.ndarray     # (plus - minus) / 2
     eps: np.ndarray         # (plus - f0) + (minus - f0)
     evals_used: int
+
+    def single(self) -> "EvaluatedStencil":
+        """The stencil of an evaluation at one scale, without the scale axis."""
+        if self.delta_c.ndim != 2 or self.delta_c.shape[0] != 1:
+            raise ParameterError("single() needs an evaluation at exactly one scale")
+        return EvaluatedStencil(self.x0, self.f0, self.plus_vals[0], self.minus_vals[0],
+                                self.delta_c[0], self.eps[0], self.evals_used)
 
 
 @dataclass(frozen=True)
@@ -135,48 +146,74 @@ class DiagHessianEstimate:
     w_rank_deficient: bool = False
 
 
-def evaluate_stencil(
-    f, x0, S: SampleDirections, known_f0: float | None = None
+def evaluate_stencils(
+    f, x0, S: SampleDirections, hs, known_f0: float | None = None
 ) -> EvaluatedStencil:
-    """Evaluate *f* on the centered stencil over *S*.
+    """Evaluate *f* on the centered stencils over ``h * S`` for every h of
+    *hs*, sharing a single f(x0).
 
-    Uses 2k evaluations for the +-s_i points plus one for f(x0), unless
-    ``known_f0`` is supplied (it must be finite), in which case the
-    Hessian-diagonal data costs nothing beyond the gradient stencil.
-    The points are evaluated in one pass through :meth:`Objective.values`
-    (a plain callable is wrapped in a fresh :class:`Objective`): x0 first
-    when ``known_f0`` is not given, then every x0 + s_i, then every
-    x0 - s_i.  Evaluation failures (exceptions or non-finite values) raise
-    :class:`StencilError` naming the offending point.
+    The points go through one :meth:`Objective.values` call (a plain
+    callable is wrapped in a fresh :class:`Objective`): x0 first when
+    ``known_f0`` is not given (it must be finite otherwise), then for each
+    h in turn every x0 + h s_i followed by every x0 - h s_i, the same floats
+    as over ``S.scaled(h)``.  That is ``2k |hs|`` evaluations, plus one for
+    x0.  The arrays of the result have one row per h.  Evaluation failures
+    (exceptions or non-finite values) raise :class:`StencilError` naming the
+    offending point.
     """
     x0 = as_vector(x0, "x0")
     if x0.size != S.n:
         raise ParameterError(f"point dimension {x0.size} does not match directions in R^{S.n}")
-    cols = S.matrix.T
-    blocks = [x0 + cols, x0 - cols]
+    hs = np.asarray(hs, dtype=float)
+    if hs.ndim != 1 or hs.size == 0 or not (np.isfinite(hs).all() and (hs > 0).all()):
+        raise ParameterError(f"scales must be a nonempty list of positive finite values: {hs!r}")
     if known_f0 is None:
-        blocks.insert(0, x0[np.newaxis])
         head = 1
     else:
         f0 = float(known_f0)
         if not math.isfinite(f0):
             raise ParameterError(f"known_f0 must be finite, got {known_f0!r}")
         head = 0
-    k = S.k
+    n, k, m = S.n, S.k, hs.size
+    points = np.empty((head + 2 * k * m, n))
+    points[:head] = x0
+    body = points[head:].reshape(m, 2, k, n)
+    # h s_i is written into the minus block first, so the point array is the
+    # only allocation of the grid's size.
+    steps = body[:, 1]
+    np.multiply(hs[:, np.newaxis, np.newaxis], S.matrix.T, out=steps)
+    np.add(x0, steps, out=body[:, 0])
+    np.subtract(x0, steps, out=steps)
 
     def label(r: int) -> str:
         r -= head
-        return "x0" if r < 0 else f"x0 {'+' if r < k else '-'} s{r % k + 1}"
+        if r < 0:
+            return "x0"
+        r %= 2 * k
+        return f"x0 {'+' if r < k else '-'} s{r % k + 1}"
 
-    obj = f if isinstance(f, Objective) else Objective(f, S.n)
-    vals = obj.values(np.concatenate(blocks), label)
+    obj = f if isinstance(f, Objective) else Objective(f, n)
+    vals = obj.values(points, label)
     if head:
         f0 = float(vals[0])
-    plus, minus = vals[head:head + k], vals[head + k:]
+    plus, minus = vals[head:].reshape(m, 2, k).transpose(1, 0, 2)
     delta_c = 0.5 * (plus - minus)
     # Grouped as (f+ - f0) + (f- - f0) to limit cancellation against a large f0.
     eps = (plus - f0) + (minus - f0)
-    return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, 2 * k + head)
+    return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, points.shape[0])
+
+
+def evaluate_stencil(
+    f, x0, S: SampleDirections, known_f0: float | None = None
+) -> EvaluatedStencil:
+    """Evaluate *f* on the centered stencil over *S*: the one-set case of
+    :func:`evaluate_stencils`.
+
+    Uses 2k evaluations for the +-s_i points plus one for f(x0), unless
+    ``known_f0`` is supplied (it must be finite), in which case the
+    Hessian-diagonal data costs nothing beyond the gradient stencil.
+    """
+    return evaluate_stencils(f, x0, S, [1.0], known_f0).single()
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,21 +254,34 @@ class StencilPlan:
         """True when W = S .* S lacks full row rank."""
         return self.w_rank < self.directions.n
 
+    def scaled_estimates(self, delta_c, eps, hs) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian-diagonal estimates over ``hs[j] * directions``
+        from ``(m, k)`` stencil data, one row per scale:
+        ``delta_c @ pinv(S^T)^T / h`` and ``eps @ pinv(W^T)^T / h^2``.
+
+        Raises :class:`ParameterError` naming the first h whose estimates
+        are not finite (an h so small that h^2 underflows)."""
+        hs = np.asarray(hs, dtype=float)[:, np.newaxis]
+        g = delta_c @ self.grad_map.T / hs
+        d = eps @ self.diag_map.T / (hs * hs)
+        bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(d).all(axis=1))
+        if bad.any():
+            h = float(hs[bad.argmax(), 0])
+            raise ParameterError(f"scale h={h!r} is too small: the estimates are not finite")
+        return g, d
+
     def estimates(
         self, stencil: EvaluatedStencil, S: SampleDirections, h: float = 1.0
     ) -> tuple[GradientEstimate, DiagHessianEstimate]:
         """The gradient and Hessian-diagonal estimates from a stencil
-        evaluated over ``S = h * self.directions``:
-        ``pinv(S^T) @ delta_c / h`` and ``pinv(W^T) @ eps / h^2``."""
-        if stencil.delta_c.size != self.directions.k or S.k != self.directions.k:
+        evaluated over ``S = h * self.directions``: the one-scale case of
+        :meth:`scaled_estimates`."""
+        if stencil.delta_c.shape != (self.directions.k,) or S.k != self.directions.k:
             raise ParameterError("stencil was built over a different direction set")
-        g = self.grad_map @ stencil.delta_c / h
-        d = self.diag_map @ stencil.eps / h**2
-        if not (np.isfinite(g).all() and np.isfinite(d).all()):
-            raise ParameterError(f"scale h={h!r} is too small: the estimates are not finite")
+        g, d = self.scaled_estimates(stencil.delta_c[np.newaxis], stencil.eps[np.newaxis], [h])
         return (
-            GradientEstimate(g, S, stencil.x0),
-            DiagHessianEstimate(d, S, stencil.x0, w_rank_deficient=self.w_rank_deficient),
+            GradientEstimate(g[0], S, stencil.x0),
+            DiagHessianEstimate(d[0], S, stencil.x0, w_rank_deficient=self.w_rank_deficient),
         )
 
 

@@ -17,7 +17,7 @@ from .calculus import (
     EvaluatedStencil,
     GradientEstimate,
     StencilPlan,
-    evaluate_stencil,
+    evaluate_stencils,
 )
 from .exceptions import ParameterError
 from .linalg import _EPS
@@ -111,7 +111,7 @@ def _checked_point(func: RegistryFunction, point) -> np.ndarray:
 
 
 class _RowBuilder:
-    """Report rows at one point over one direction set at any scale.
+    """Report rows at one point over one direction set at any scales.
 
     Everything that depends on the point or the unit-scale set and not on h
     is computed once here: the set's :class:`StencilPlan`, the analytic
@@ -132,30 +132,43 @@ class _RowBuilder:
         self.diag_norm = float(np.linalg.norm(self.truth_diag))
         self.cross = 2.0 * cross_term_sum(unit, func.hessian(point)) if with_bound else None
 
-    def row(self, obj, S: SampleDirections, h: float, known_f0: float | None):
-        """Evaluate the stencil over ``S = h * unit`` and build its row."""
-        stencil = evaluate_stencil(obj, self.point, S, known_f0=known_f0)
-        g, d = self.plan.estimates(stencil, S, h)
-        bound = None
+    def rows(self, obj, hs, radii: list[float], known_f0: float | None):
+        """Evaluate the stencils over ``hs[j] * unit`` as one array and build
+        one row per h; ``radii[j]`` is the radius of that scaled set.
+
+        Returns the rows, the ``(m, n)`` gradient and diagonal estimates, the
+        evaluated stencils and the bounds (``None`` without a bound).  Each
+        row counts its 2k evaluations; the first also counts f(x0) when it
+        was evaluated here.
+        """
+        stencil = evaluate_stencils(obj, self.point, self.plan.directions, hs, known_f0=known_f0)
+        g, d = self.plan.scaled_estimates(stencil.delta_c, stencil.eps, hs)
+        bounds = [None] * len(radii)
         if self.cross is not None:
-            lip = _certified_lipschitz(self.func, self.point, S.radius)
-            bound = plan_error_bound(self.plan, S.radius, lip, self.cross)
-        abs_diag = float(np.linalg.norm(d.value - self.truth_diag))
-        err_grad = float(np.linalg.norm(g.value - self.truth_grad))
-        row = ReportRow(
-            function=self.func.name,
-            point=self.label,
-            set_name=self.set_name,
-            h=h,
-            delta_s=S.radius,
-            rer_diag=abs_diag / self.diag_norm if self.diag_norm > 0.0 else None,
-            abs_err_diag=abs_diag,
-            rer_grad=err_grad / self.grad_norm if self.grad_norm > 0.0 else None,
-            bound_total=bound.total if bound else None,
-            bound_cross=bound.cross_term if bound else None,
-            evals=stencil.evals_used,
-        )
-        return row, g, d, stencil, bound
+            lips = [_certified_lipschitz(self.func, self.point, r) for r in radii]
+            bounds = [plan_error_bound(self.plan, r, lip, self.cross) for r, lip in zip(radii, lips)]
+        abs_diag = np.linalg.norm(d - self.truth_diag, axis=1).tolist()
+        err_grad = np.linalg.norm(g - self.truth_grad, axis=1).tolist()
+        evals = [2 * self.plan.directions.k] * len(radii)
+        evals[0] += int(known_f0 is None)
+        rows = [
+            ReportRow(
+                function=self.func.name,
+                point=self.label,
+                set_name=self.set_name,
+                h=h,
+                delta_s=r,
+                rer_diag=a / self.diag_norm if self.diag_norm > 0.0 else None,
+                abs_err_diag=a,
+                rer_grad=e / self.grad_norm if self.grad_norm > 0.0 else None,
+                bound_total=b.total if b else None,
+                bound_cross=b.cross_term if b else None,
+                evals=ev,
+            )
+            for h, r, a, e, b, ev in zip(np.asarray(hs, dtype=float).tolist(), radii,
+                                         abs_diag, err_grad, bounds, evals)
+        ]
+        return rows, g, d, stencil, bounds
 
 
 def run_approx(
@@ -172,8 +185,10 @@ def run_approx(
     point = _checked_point(func, point)
     obj = func.objective()
     builder = _RowBuilder(func, point, S.kind.value, S, with_bound)
-    row, g, d, stencil, bound = builder.row(obj, S, 1.0, known_f0)
-    return ApproxResult(g, d, stencil, replace(row, h=h), bound, obj)
+    rows, g, d, stencil, bounds = builder.rows(obj, [1.0], [S.radius], known_f0)
+    grad = GradientEstimate(g[0], S, point)
+    diag = DiagHessianEstimate(d[0], S, point, w_rank_deficient=builder.plan.w_rank_deficient)
+    return ApproxResult(grad, diag, stencil.single(), replace(rows[0], h=h), bounds[0], obj)
 
 
 def _grid_rows(
@@ -184,13 +199,15 @@ def _grid_rows(
     custom: SampleDirections | None,
     with_bound: bool,
 ):
-    """Rows for a descending-h grid over one factored unit-scale set,
-    sharing a single f(x0) evaluation."""
+    """Rows for a descending-h grid over one factored unit-scale set: f(x0)
+    once, then every stencil point of every h as one array."""
     unit = build_scaled_set(kind, func.dim, 1.0, custom)
     builder = _RowBuilder(func, point, kind.value, unit, with_bound)
     obj = func.objective()
     f0 = obj(point)
-    rows = [builder.row(obj, unit.scaled(h), h, f0)[0] for h in map(float, hs)]
+    # Every h gets its own validated set; its radius is the row's delta_s.
+    radii = [unit.scaled(h).radius for h in hs.tolist()]
+    rows = builder.rows(obj, hs, radii, f0)[0]
     return rows, np.array([r.abs_err_diag for r in rows]), f0, builder.diag_norm
 
 
@@ -198,9 +215,17 @@ def _descending_grid(hs) -> np.ndarray:
     hs = np.sort(np.asarray(hs, dtype=float))[::-1]
     if hs.size < 1 or np.any(hs <= 0):
         raise ParameterError("the h grid must contain positive values")
-    if np.unique(hs).size != hs.size:
+    if np.any(hs[1:] == hs[:-1]):
         raise ParameterError("the h grid contains duplicate values")
     return hs
+
+
+def _middle(values: np.ndarray) -> float:
+    """The median, bit for bit as ``np.median`` gives it, taken from
+    ``np.sort`` because ``np.median`` imports ``numpy.ma``."""
+    v = np.sort(values)
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
 def _metric(row: ReportRow) -> float:
@@ -282,7 +307,7 @@ def run_limit_study(
         raise ParameterError(
             f"h grid has fewer than 3 points in the plateau window [{lo:g}, {hi:g}]"
         )
-    plateau = float(np.median(metrics[window]))
+    plateau = _middle(metrics[window])
 
     best = int(np.argmin(metrics))
     nonmonotone = best < len(rows) - 1 and metrics[-1] >= NONMONOTONE_FACTOR * metrics[best]

@@ -1,8 +1,23 @@
 """Shared generators for randomized tests (seeded, deterministic)."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from cshd.registry import RegistryFunction
 from cshd.sets import SampleDirections
+
+
+@dataclass(frozen=True)
+class CountedFunction(RegistryFunction):
+    """Keeps every Objective it hands out, so a test can sum their counts."""
+
+    issued: list = field(default_factory=list, compare=False)
+
+    def objective(self):
+        obj = super().objective()
+        self.issued.append(obj)
+        return obj
 
 
 def random_lonely(rng, n, k):

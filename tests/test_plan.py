@@ -5,8 +5,6 @@ directly over the scaled set h*S, as the estimates and the bound are
 defined.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,9 @@ from cshd.analysis import cross_term_sum, error_bound, plan_error_bound
 from cshd.calculus import StencilPlan, evaluate_stencil
 from cshd.exceptions import BoundInapplicableError
 from cshd.linalg import svd_rank
-from cshd.registry import RegistryFunction
 from cshd.sets import SampleDirections, SetKind, build_set
 
-from helpers import random_conditioned
+from helpers import CountedFunction, random_conditioned
 
 RTOL = 1e-10
 HS = (1.0, 0.3, 1e-2, 1e-4)
@@ -112,18 +109,6 @@ def test_plan_flags_too_few_columns():
     assert plan.w_rank_deficient and plan.w_sigma_min == 0.0
     with pytest.raises(BoundInapplicableError):
         error_bound(S, 1.0, np.eye(2))
-
-
-@dataclass(frozen=True)
-class CountedFunction(RegistryFunction):
-    """Keeps every Objective it hands out, so a test can sum their counts."""
-
-    issued: list = field(default_factory=list, compare=False)
-
-    def objective(self):
-        obj = super().objective()
-        self.issued.append(obj)
-        return obj
 
 
 def test_grid_studies_use_exact_evaluations():
