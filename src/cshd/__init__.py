@@ -45,13 +45,7 @@ from .exceptions import (
     ParameterError,
     StencilError,
 )
-from .linalg import (
-    MatrixParts,
-    hadamard,
-    matrix_parts,
-    operator_norm_l2,
-    pseudoinverse,
-)
+from .linalg import pseudoinverse
 from .registry import REGISTRY, RegistryFunction
 from .registry import get as get_function
 from .report import CSV_HEADER, ExperimentReport, ReportRow
@@ -68,7 +62,6 @@ __all__ = [
     "EvaluatedStencil",
     "ExperimentReport",
     "GradientEstimate",
-    "MatrixParts",
     "Objective",
     "ParameterError",
     "REGISTRY",
@@ -93,11 +86,8 @@ __all__ = [
     "fd_hessian",
     "fd_third_tensor",
     "get_function",
-    "hadamard",
     "lipschitz_oracle",
     "load_directions",
-    "matrix_parts",
-    "operator_norm_l2",
     "plan_error_bound",
     "pseudoinverse",
     "regular_basis",

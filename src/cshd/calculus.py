@@ -262,8 +262,9 @@ class StencilPlan:
         Raises :class:`ParameterError` naming the first h whose estimates
         are not finite (an h so small that h^2 underflows)."""
         hs = np.asarray(hs, dtype=float)[:, np.newaxis]
-        g = delta_c @ self.grad_map.T / hs
-        d = eps @ self.diag_map.T / (hs * hs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = delta_c @ self.grad_map.T / hs
+            d = eps @ self.diag_map.T / (hs * hs)
         bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(d).all(axis=1))
         if bad.any():
             h = float(hs[bad.argmax(), 0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import experiments, registry
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError, StencilError
-from .report import ExperimentReport, fmt_float
+from .report import FORMATS, ExperimentReport, fmt_float
 from .sets import SetKind, load_directions
 
 EXIT_OK = 0
@@ -96,8 +96,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             if current is False:
                 setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
         elif current is None:
-            if key == "format" and value not in ("csv", "md"):
-                raise ParameterError(f"config format must be csv or md, got {value!r}")
+            if key == "format" and value not in FORMATS:
+                raise ParameterError(
+                    f"config format must be {' or '.join(FORMATS)}, got {value!r}")
             setattr(args, key, value)
 
 
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if need_h_grid:
             p.add_argument("--h-grid", dest="h_grid", help="geometric grid START:STOP:FACTOR")
-        p.add_argument("--format", choices=("csv", "md"), default=None,
+        p.add_argument("--format", choices=FORMATS, default=None,
                        help="output format (default csv)")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--config", help="key = value file supplying defaults for the flags")
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("reproduce", help="re-run a bundled reference experiment")
     p_repro.add_argument("target", choices=experiments.REPRO_TARGETS)
-    p_repro.add_argument("--format", choices=("csv", "md"), default="csv")
+    p_repro.add_argument("--format", choices=FORMATS, default="csv")
     p_repro.add_argument("--out", help="write output to this file instead of stdout")
 
     return parser

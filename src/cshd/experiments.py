@@ -5,9 +5,7 @@ experiments with their expected values.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,8 +19,8 @@ from .calculus import (
 )
 from .exceptions import ParameterError
 from .linalg import _EPS
-from .registry import RegistryFunction
-from .report import ExperimentReport, ReportRow, fmt_float, fmt_point
+from .registry import RegistryFunction, get as get_function
+from .report import ExperimentReport, ReportRow, fmt_float, fmt_point, render_table
 from .sets import SampleDirections, SetKind, build_set
 
 __all__ = [
@@ -324,63 +322,15 @@ def run_limit_study(
 # ---------------------------------------------------------------------------
 # Reference reproductions
 
-REPRO_HEADER = [
-    "target",
-    "function",
-    "point",
-    "set",
-    "h",
-    "quantity",
-    "computed",
-    "reference",
-    "tolerance",
-    "status",
-]
-
-POINT_X1 = np.array([1.1, 1.1**2 + 1e-5])
-POINT_X2 = np.array([0.9, 0.81])
-POINT_E41 = np.array([3.0, 2.0, 1.0])
-
-_SETS = [SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB]
-
-# (point, h) -> per-set reference relative errors of the Hessian diagonal.
-_TABLE1 = {
-    ("x1", 1e-3): {SetKind.CB: 2.02e-7, SetKind.RB: 3.14e-1, SetKind.CMPB: 4.19e-1, SetKind.RMPB: 1.78e-7},
-    ("x2", 1e-6): {SetKind.CB: 1.18e-9, SetKind.RB: 3.74e-1, SetKind.CMPB: 4.99e-1, SetKind.RMPB: 3.39e-9},
-}
-# Round-off-dominated entries are only expected to match within a factor.
-_TABLE1_FACTOR3 = {("x2", SetKind.CB), ("x2", SetKind.RMPB)}
-
-# Small-h limit and grid infimum references per (point, set); None marks
-# values computed in exact arithmetic that double precision cannot reach.
-_TABLE2 = {
-    ("x1", SetKind.CB): (0.0, 0.0),
-    ("x2", SetKind.CB): (0.0, 0.0),
-    ("x1", SetKind.RB): (3.14e-1, 3.14e-1),
-    ("x2", SetKind.RB): (3.74e-1, 3.74e-1),
-    ("x1", SetKind.CMPB): (4.19e-1, 2.96e-1),
-    ("x2", SetKind.CMPB): (5.00e-1, 3.53e-1),
-    ("x1", SetKind.RMPB): (None, None),  # limit diverges; infimum 5.71e-10
-    ("x2", SetKind.RMPB): (None, None),  # limit 4.65e-10, below the fp plateau
-}
-
-_TABLE3_H = [1.0, 1e-1, 1e-2, 1e-3, 1e-4]
-_TABLE3 = {
-    SetKind.RMPB: [5.93e1, 1.31e-1, 1.33e-1, 1.33e-1, 1.33e-1],
-    SetKind.CB: [9.79e0, 2.93e-2, 2.90e-4, 2.90e-6, 2.95e-8],
-}
-
-REPRO_TARGETS = ("table1", "table2", "table3", "example41")
-
-_PLATEAU_CAP = 1e-5  # "vanishing limit" acceptance level for lonely sets
-
 
 @dataclass(frozen=True)
 class ReproCheck:
+    """One record of a reproduce table; the field names are its CSV header."""
+
     target: str
     function: str
     point: str
-    set_name: str
+    set: str
     h: str
     quantity: str
     computed: float
@@ -389,31 +339,112 @@ class ReproCheck:
     status: str
 
     def as_record(self) -> list[str]:
-        return [
-            self.target,
-            self.function,
-            self.point,
-            self.set_name,
-            self.h,
-            self.quantity,
-            fmt_float(self.computed),
-            self.reference,
-            self.tolerance,
-            self.status,
-        ]
+        """The fields as strings, ``computed`` with :func:`fmt_float`."""
+        return [fmt_float(v) if isinstance(v, float) else v for v in astuple(self)]
 
 
-def _check_rel(computed: float, reference: float, rel: float) -> str:
-    return "pass" if abs(computed - reference) <= rel * abs(reference) else "fail"
+REPRO_HEADER = [f.name for f in fields(ReproCheck)]
+
+POINT_X1 = np.array([1.1, 1.1**2 + 1e-5])
+POINT_X2 = np.array([0.9, 0.81])
+POINT_E41 = np.array([3.0, 2.0, 1.0])
+
+# Tolerance policies with their argument, applied by :func:`_judge`.
+_REL5, _REL10 = ("rel", 0.05), ("rel", 0.10)
+_FACTOR3 = ("factor", 3.0)  # round-off-dominated entries match within a factor
+_VANISHES = ("below", 1e-5)  # "vanishing limit" acceptance level for lonely sets
+_FP64 = ("skip", None)  # exact-arithmetic values beyond double precision
+_FLAG, _INFO = ("flag", None), ("info", None)
 
 
-def _check_factor(computed: float, reference: float, factor: float) -> str:
-    ok = reference / factor <= computed <= reference * factor
-    return "pass" if ok else "fail"
+# REPRO_SPEC lists each target's studies in report order.  A study is
+# (function, point, kind, h, checks): run_approx over build_set(kind, n, h),
+# or run_limit_study on the default grid when h is None.  A check is
+# (quantity, reference, policy); a float reference is judged and printed
+# with fmt_float, a string one is printed as given.
+def _approx(function, point, kind, h, reference, policy=_REL5) -> tuple:
+    return function, point, kind, h, (("rer_diag", reference, policy),)
 
 
-def _check_below(computed: float, cap: float) -> str:
-    return "pass" if computed < cap else "fail"
+def _limit(function, point, kind, *checks) -> tuple:
+    return function, point, kind, None, checks
+
+
+_ROSEN, _EXPPROD = "rosenbrock2", "expprod3"
+_CB, _RB, _CMPB, _RMPB = SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB
+_TABLE3_H = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
+# Example 4.1 is the rmpb limit study of expprod3; Table 3 checks only its limit.
+_E41_STUDY = (_EXPPROD, POINT_E41, _RMPB, None)
+_E41_LIMIT = ("limit_rer", 1.33e-1, _REL5)
+
+REPRO_SPEC: dict[str, list[tuple]] = {
+    "table1": [
+        _approx(_ROSEN, POINT_X1, _CB, 1e-3, 2.02e-7),
+        _approx(_ROSEN, POINT_X1, _RB, 1e-3, 3.14e-1),
+        _approx(_ROSEN, POINT_X1, _CMPB, 1e-3, 4.19e-1),
+        _approx(_ROSEN, POINT_X1, _RMPB, 1e-3, 1.78e-7),
+        _approx(_ROSEN, POINT_X2, _CB, 1e-6, 1.18e-9, _FACTOR3),
+        _approx(_ROSEN, POINT_X2, _RB, 1e-6, 3.74e-1),
+        _approx(_ROSEN, POINT_X2, _CMPB, 1e-6, 4.99e-1),
+        _approx(_ROSEN, POINT_X2, _RMPB, 1e-6, 3.39e-9, _FACTOR3),
+    ],
+    "table2": [
+        _limit(_ROSEN, POINT_X1, _CB, ("limit_rer", 0.0, _VANISHES), ("inf_rer", 0.0, _VANISHES)),
+        _limit(_ROSEN, POINT_X1, _RB, ("limit_rer", 3.14e-1, _REL5), ("inf_rer", 3.14e-1, _REL5)),
+        _limit(_ROSEN, POINT_X1, _CMPB, ("limit_rer", 4.19e-1, _REL5),
+               ("inf_rer", 2.96e-1, _REL5)),
+        # The limit diverges; the error grows again below the grid minimum.
+        _limit(_ROSEN, POINT_X1, _RMPB, ("limit_rer", "divergent", _FP64),
+               ("inf_rer", "5.71e-10", _FP64), ("nonmonotone", 1.0, _FLAG)),
+        _limit(_ROSEN, POINT_X2, _CB, ("limit_rer", 0.0, _VANISHES), ("inf_rer", 0.0, _VANISHES)),
+        _limit(_ROSEN, POINT_X2, _RB, ("limit_rer", 3.74e-1, _REL5), ("inf_rer", 3.74e-1, _REL5)),
+        _limit(_ROSEN, POINT_X2, _CMPB, ("limit_rer", 5.00e-1, _REL5),
+               ("inf_rer", 3.53e-1, _REL5)),
+        _limit(_ROSEN, POINT_X2, _RMPB, ("limit_rer", "4.65e-10", _FP64),
+               ("inf_rer", "4.65e-10", _FP64)),
+    ],
+    "table3": [
+        *(_approx(_EXPPROD, POINT_E41, _RMPB, h, ref, _REL10)
+          for h, ref in zip(_TABLE3_H, (5.93e1, 1.31e-1, 1.33e-1, 1.33e-1, 1.33e-1))),
+        (*_E41_STUDY, (_E41_LIMIT,)),
+        *(_approx(_EXPPROD, POINT_E41, _CB, h, ref, _REL10)
+          for h, ref in zip(_TABLE3_H, (9.79e0, 2.93e-2, 2.90e-4, 2.90e-6, 2.95e-8))),
+        _limit(_EXPPROD, POINT_E41, _CB, ("limit_rer", 0.0, _VANISHES)),
+    ],
+    "example41": [
+        (*_E41_STUDY, (_E41_LIMIT, ("min_rer", 1.30e-1, _REL5), ("argmin_h", "0.0883", _INFO))),
+    ],
+}
+REPRO_TARGETS = tuple(REPRO_SPEC)
+
+# The computed value behind each quantity, from an ApproxResult or a
+# LimitStudyResult.
+_QUANTITIES = {
+    "rer_diag": lambda r: r.row.rer_diag,
+    "limit_rer": lambda r: r.plateau,
+    "inf_rer": lambda r: r.grid_inf,
+    "min_rer": lambda r: r.grid_inf,
+    "argmin_h": lambda r: r.grid_inf_h,
+    "nonmonotone": lambda r: float(r.nonmonotone),
+}
+
+
+def _judge(computed: float, reference, policy) -> tuple[str, str]:
+    """The tolerance text and the status of one check."""
+    name, arg = policy
+    if name == "rel":
+        tolerance, ok = f"rel<={arg:.0%}", abs(computed - reference) <= arg * abs(reference)
+    elif name == "factor":
+        tolerance, ok = f"factor<={arg:g}", reference / arg <= computed <= reference * arg
+    elif name == "below":
+        tolerance, ok = f"<{arg:g}", computed < arg
+    elif name == "flag":
+        tolerance, ok = "flag", computed == reference
+    elif name == "skip":
+        return "not reproducible in fp64", "skip"
+    else:
+        return "info", "info"
+    return tolerance, "pass" if ok else "fail"
 
 
 @dataclass
@@ -424,158 +455,28 @@ class ReproduceResult:
     def failed(self) -> int:
         return sum(1 for c in self.checks if c.status == "fail")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPRO_HEADER)
-        for c in self.checks:
-            writer.writerow(c.as_record())
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = ["| " + " | ".join(REPRO_HEADER) + " |", "|" + "---|" * len(REPRO_HEADER)]
-        lines.extend("| " + " | ".join(c.as_record()) + " |" for c in self.checks)
-        return "\n".join(lines) + "\n"
-
     def render(self, fmt: str = "csv") -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "md":
-            return self.to_markdown()
-        raise ParameterError(f"unknown report format {fmt!r} (expected csv or md)")
-
-
-def _reproduce_table1(rosen: RegistryFunction) -> list[ReproCheck]:
-    checks = []
-    for (label, h), refs in _TABLE1.items():
-        point = POINT_X1 if label == "x1" else POINT_X2
-        for kind in _SETS:
-            S = build_set(kind, rosen.dim, h)
-            result = run_approx(rosen, point, S, h=h)
-            ref = refs[kind]
-            if (label, kind) in _TABLE1_FACTOR3:
-                status = _check_factor(result.row.rer_diag, ref, 3.0)
-                tol = "factor<=3"
-            else:
-                status = _check_rel(result.row.rer_diag, ref, 0.05)
-                tol = "rel<=5%"
-            checks.append(
-                ReproCheck(
-                    "table1", rosen.name, fmt_point(point), kind.value, fmt_float(h),
-                    "rer_diag", result.row.rer_diag, fmt_float(ref), tol, status,
-                )
-            )
-    return checks
-
-
-def _reproduce_table2(rosen: RegistryFunction) -> list[ReproCheck]:
-    checks = []
-    for label, point in (("x1", POINT_X1), ("x2", POINT_X2)):
-        for kind in _SETS:
-            study = run_limit_study(rosen, point, kind)
-            ref_limit, ref_inf = _TABLE2[(label, kind)]
-            pt = fmt_point(point)
-            if kind is SetKind.CB:
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "limit_rer",
-                               study.plateau, "0", f"<{_PLATEAU_CAP:g}",
-                               _check_below(study.plateau, _PLATEAU_CAP))
-                )
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "inf_rer",
-                               study.grid_inf, "0", f"<{_PLATEAU_CAP:g}",
-                               _check_below(study.grid_inf, _PLATEAU_CAP))
-                )
-            elif ref_limit is not None:
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "limit_rer",
-                               study.plateau, fmt_float(ref_limit), "rel<=5%",
-                               _check_rel(study.plateau, ref_limit, 0.05))
-                )
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "inf_rer",
-                               study.grid_inf, fmt_float(ref_inf), "rel<=5%",
-                               _check_rel(study.grid_inf, ref_inf, 0.05))
-                )
-            else:
-                # Exact-arithmetic references beyond double precision: report
-                # the computed values without judging them.
-                ref_str = "divergent" if label == "x1" else "4.65e-10"
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "limit_rer",
-                               study.plateau, ref_str, "not reproducible in fp64", "skip")
-                )
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "inf_rer",
-                               study.grid_inf, "5.71e-10" if label == "x1" else "4.65e-10",
-                               "not reproducible in fp64", "skip")
-                )
-            if label == "x1" and kind is SetKind.RMPB:
-                checks.append(
-                    ReproCheck("table2", rosen.name, pt, kind.value, "", "nonmonotone",
-                               1.0 if study.nonmonotone else 0.0, "1", "flag",
-                               "pass" if study.nonmonotone else "fail")
-                )
-    return checks
-
-
-def _reproduce_table3(expprod: RegistryFunction) -> list[ReproCheck]:
-    checks = []
-    pt = fmt_point(POINT_E41)
-    for kind in (SetKind.RMPB, SetKind.CB):
-        for h, ref in zip(_TABLE3_H, _TABLE3[kind]):
-            S = build_set(kind, expprod.dim, h)
-            result = run_approx(expprod, POINT_E41, S, h=h)
-            checks.append(
-                ReproCheck("table3", expprod.name, pt, kind.value, fmt_float(h),
-                           "rer_diag", result.row.rer_diag, fmt_float(ref), "rel<=10%",
-                           _check_rel(result.row.rer_diag, ref, 0.10))
-            )
-        study = run_limit_study(expprod, POINT_E41, kind)
-        if kind is SetKind.RMPB:
-            checks.append(
-                ReproCheck("table3", expprod.name, pt, kind.value, "", "limit_rer",
-                           study.plateau, fmt_float(1.33e-1), "rel<=5%",
-                           _check_rel(study.plateau, 1.33e-1, 0.05))
-            )
-        else:
-            checks.append(
-                ReproCheck("table3", expprod.name, pt, kind.value, "", "limit_rer",
-                           study.plateau, "0", f"<{_PLATEAU_CAP:g}",
-                           _check_below(study.plateau, _PLATEAU_CAP))
-            )
-    return checks
-
-
-def _reproduce_example41(expprod: RegistryFunction) -> list[ReproCheck]:
-    study = run_limit_study(expprod, POINT_E41, SetKind.RMPB)
-    pt = fmt_point(POINT_E41)
-    return [
-        ReproCheck("example41", expprod.name, pt, "rmpb", "", "limit_rer",
-                   study.plateau, fmt_float(1.33e-1), "rel<=5%",
-                   _check_rel(study.plateau, 1.33e-1, 0.05)),
-        ReproCheck("example41", expprod.name, pt, "rmpb", "", "min_rer",
-                   study.grid_inf, fmt_float(1.30e-1), "rel<=5%",
-                   _check_rel(study.grid_inf, 1.30e-1, 0.05)),
-        ReproCheck("example41", expprod.name, pt, "rmpb", "", "argmin_h",
-                   study.grid_inf_h, "0.0883", "info", "info"),
-    ]
+        return render_table(REPRO_HEADER, (c.as_record() for c in self.checks), (), fmt)
 
 
 def run_reproduce(target: str) -> ReproduceResult:
-    """Re-run one of the bundled reference experiments and compare against
-    its expected values under the per-target tolerance policy."""
-    from . import registry
-
-    if target == "table1":
-        checks = _reproduce_table1(registry.get("rosenbrock2"))
-    elif target == "table2":
-        checks = _reproduce_table2(registry.get("rosenbrock2"))
-    elif target == "table3":
-        checks = _reproduce_table3(registry.get("expprod3"))
-    elif target == "example41":
-        checks = _reproduce_example41(registry.get("expprod3"))
-    else:
+    """Re-run one of the bundled reference experiments (its studies in
+    :data:`REPRO_SPEC`) and judge each computed value against its reference
+    under the check's tolerance policy."""
+    if target not in REPRO_SPEC:
         known = ", ".join(REPRO_TARGETS)
         raise ParameterError(f"unknown reproduction target {target!r}; expected one of {known}")
+    checks = []
+    for function, point, kind, h, spec_checks in REPRO_SPEC[target]:
+        func = get_function(function)
+        if h is None:
+            result, h_text = run_limit_study(func, point, kind), ""
+        else:
+            S = build_set(kind, func.dim, h)
+            result, h_text = run_approx(func, point, S, h=h), fmt_float(h)
+        for quantity, reference, policy in spec_checks:
+            computed = _QUANTITIES[quantity](result)
+            ref = fmt_float(reference) if isinstance(reference, float) else reference
+            checks.append(ReproCheck(target, func.name, fmt_point(point), kind.value, h_text,
+                                     quantity, computed, ref, *_judge(computed, reference, policy)))
     return ReproduceResult(checks)

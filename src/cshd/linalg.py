@@ -1,5 +1,5 @@
-"""Dense real-matrix primitives: pseudoinverse, Hadamard product, operator
-norm, and the diagonal/upper/off-diagonal matrix splits.
+"""Dense real-matrix primitives: input validation, and the pseudoinverse and
+numerical rank from one SVD with one cutoff rule.
 
 Everything operates on plain numpy arrays.  Inputs are validated once at the
 boundary (finite entries, expected dimensionality); all functions are pure.
@@ -20,10 +20,6 @@ __all__ = [
     "PinvFactors",
     "pinv_factors",
     "svd_rank",
-    "hadamard",
-    "operator_norm_l2",
-    "MatrixParts",
-    "matrix_parts",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -88,41 +84,3 @@ def svd_rank(A) -> tuple[np.ndarray, int]:
     A = as_matrix(A)
     s = np.linalg.svd(A, compute_uv=False)
     return s, int(np.count_nonzero(s > _svd_cutoff(A.shape, s)))
-
-
-def hadamard(A, B) -> np.ndarray:
-    """Componentwise (Hadamard) product of two equally shaped matrices."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch for Hadamard product: {A.shape} vs {B.shape}")
-    return A * B
-
-
-def operator_norm_l2(A) -> float:
-    """The l2-induced operator norm, i.e. the largest singular value."""
-    A = as_matrix(A)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
-class MatrixParts(NamedTuple):
-    diag: np.ndarray         # diagonal entries as a vector
-    diag_matrix: np.ndarray  # square matrix holding only the diagonal
-    upper: np.ndarray        # strictly upper triangular part
-    offdiag: np.ndarray      # everything except the diagonal
-
-
-def matrix_parts(M) -> MatrixParts:
-    """Split a square matrix into its diagonal, strictly-upper and
-    off-diagonal parts.
-
-    ``diag_matrix + offdiag`` reconstructs the input exactly, and for
-    symmetric input ``offdiag == upper + upper.T``.
-    """
-    M = as_matrix(M, "square matrix")
-    n, k = M.shape
-    if n != k:
-        raise DimensionError(f"matrix_parts requires a square matrix, got {n}x{k}")
-    d = np.diag(M).copy()
-    dm = np.diag(d)
-    return MatrixParts(d, dm, np.triu(M, 1), M - dm)

@@ -16,7 +16,10 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["CSV_HEADER", "ReportRow", "ExperimentReport", "fmt_float", "fmt_point"]
+__all__ = ["CSV_HEADER", "FORMATS", "ReportRow", "ExperimentReport", "fmt_float", "fmt_point",
+           "render_table"]
+
+FORMATS = ("csv", "md")
 
 CSV_HEADER = [
     "function",
@@ -41,6 +44,25 @@ def fmt_float(x: float) -> str:
 def fmt_point(p) -> str:
     """Comma-joined full-precision coordinates."""
     return ",".join(fmt_float(v) for v in np.asarray(p, dtype=float))
+
+
+def render_table(header: list[str], records, comments, fmt: str) -> str:
+    """A table of string records in one of :data:`FORMATS`: CSV with the
+    comments as trailing ``# key=value`` lines, or a markdown table with the
+    comments as ``- key=value`` list items."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(records)
+        buf.writelines(f"# {c}\n" for c in comments)
+        return buf.getvalue()
+    if fmt == "md":
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines.extend("| " + " | ".join(r) + " |" for r in records)
+        lines.extend(f"- {c}" for c in comments)
+        return "\n".join(lines) + "\n"
+    raise ParameterError(f"unknown report format {fmt!r} (expected {' or '.join(FORMATS)})")
 
 
 @dataclass(frozen=True)
@@ -95,29 +117,8 @@ class ExperimentReport:
             out[key.strip()] = value.strip()
         return out
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(row.as_record())
-        for c in self.comments:
-            buf.write(f"# {c}\n")
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = ["| " + " | ".join(CSV_HEADER) + " |", "|" + "---|" * len(CSV_HEADER)]
-        for row in self.rows:
-            lines.append("| " + " | ".join(row.as_record()) + " |")
-        lines.extend(f"- {c}" for c in self.comments)
-        return "\n".join(lines) + "\n"
-
     def render(self, fmt: str = "csv") -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "md":
-            return self.to_markdown()
-        raise ParameterError(f"unknown report format {fmt!r} (expected csv or md)")
+        return render_table(CSV_HEADER, (row.as_record() for row in self.rows), self.comments, fmt)
 
     @staticmethod
     def from_csv(text: str) -> "ExperimentReport":

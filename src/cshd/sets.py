@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ParameterError
-from .linalg import as_matrix, hadamard
+from .linalg import as_matrix
 
 __all__ = [
     "SetKind",
@@ -40,6 +40,9 @@ class SetKind(enum.Enum):
 # count as zero in the lonely test; constructed sets compare against exact 0.
 CUSTOM_ZERO_TOL = 1e-14
 
+# The smallest column norm whose square is a normal double.
+_MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass(frozen=True)
 class SampleDirections:
@@ -57,8 +60,11 @@ class SampleDirections:
     def __post_init__(self):
         m = as_matrix(self.matrix, "direction matrix").copy()
         norms = np.linalg.norm(m, axis=0)
-        if np.any(norms == 0.0):
-            raise ParameterError("every direction column must be nonzero")
+        if norms.min() < _MIN_NORM:  # W = S .* S would underflow, and the diagonal with it
+            if not np.any(m, axis=0).all():
+                raise ParameterError("every direction column must be nonzero")
+            j = int(norms.argmin())
+            raise ParameterError(f"direction column {j} is too small: its squares underflow")
         # Columns keyed by their bytes; adding 0.0 turns -0.0 into 0.0, so
         # keys are equal exactly when the columns compare equal.
         first: dict[bytes, int] = {}
@@ -80,11 +86,7 @@ class SampleDirections:
 
     def squared(self) -> np.ndarray:
         """W = S .* S, the columnwise squares of the directions."""
-        return hadamard(self.matrix, self.matrix)
-
-    def scaled_squared(self) -> np.ndarray:
-        """W / radius**2, the squared set over radius-normalized directions."""
-        return self.squared() / self.radius**2
+        return self.matrix * self.matrix
 
     def unit_directions(self) -> np.ndarray:
         """Columns divided by the radius (the largest has unit norm)."""

@@ -74,6 +74,14 @@ def test_approx_rejects_non_finite_f0():
     assert "f0" in res.stderr and "NaN or infinite entries" not in res.stderr
 
 
+def test_approx_rejects_a_scale_whose_squares_underflow():
+    res = run_cli(
+        "approx", "--function", "rosenbrock2", "--point", "0.9,0.81", "--set", "cb", "--h", "1e-170"
+    )
+    assert res.returncode == 2
+    assert "too small: its squares underflow" in res.stderr
+
+
 def test_exit_code_bound_inapplicable(tmp_path):
     path = tmp_path / "rankdef.txt"
     path.write_text("2 2\n1 -1\n1 1\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cshd.exceptions import DimensionError
-from cshd.linalg import hadamard, matrix_parts, operator_norm_l2, pseudoinverse, svd_rank
+from cshd.linalg import pseudoinverse, svd_rank
 
 from helpers import random_conditioned
 
@@ -73,81 +73,3 @@ def test_svd_rank():
     assert r == 1
     _, r = svd_rank(np.eye(3))
     assert r == 3
-
-
-def test_hadamard_basics():
-    assert np.array_equal(hadamard(np.eye(2), np.eye(2)), np.eye(2))
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(hadamard(A, A), np.array([[1.0, 4.0], [9.0, 16.0]]))
-
-
-def test_hadamard_rmpb_column():
-    # the "all entries -sqrt(3)/3" column squares to all 1/3
-    col = np.full((3, 1), -np.sqrt(3.0) / 3.0)
-    assert np.allclose(hadamard(col, col), np.full((3, 1), 1.0 / 3.0), atol=1e-15)
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(DimensionError):
-        hadamard(np.eye(2), np.eye(3))
-
-
-def test_hadamard_commutative_and_associative():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        A, B, C = (rng.standard_normal(shape) for _ in range(3))
-        assert np.array_equal(hadamard(A, B), hadamard(B, A))
-        assert np.allclose(hadamard(hadamard(A, B), C), hadamard(A, hadamard(B, C)), rtol=1e-13)
-
-
-def test_operator_norm():
-    assert operator_norm_l2(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
-    assert operator_norm_l2(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_operator_norm_against_eig_oracle():
-    # largest singular value of [[1,1],[0,0]] via the eigenvalues of A A^T
-    A = np.array([[1.0, 1.0], [0.0, 0.0]])
-    oracle = float(np.sqrt(np.max(np.linalg.eigvalsh(A @ A.T))))
-    assert oracle == pytest.approx(np.sqrt(2.0), abs=1e-14)
-    assert operator_norm_l2(A) == pytest.approx(oracle, abs=1e-14)
-
-
-def test_matrix_parts_identity():
-    parts = matrix_parts(np.eye(4))
-    assert np.array_equal(parts.diag, np.ones(4))
-    assert not parts.upper.any()
-    assert not parts.offdiag.any()
-
-
-def test_matrix_parts_offdiagonal_only():
-    alpha = 2.5
-    parts = matrix_parts(np.array([[0.0, alpha], [alpha, 0.0]]))
-    assert np.array_equal(parts.diag, np.zeros(2))
-    assert np.array_equal(parts.upper, np.array([[0.0, alpha], [0.0, 0.0]]))
-    assert np.array_equal(parts.offdiag, parts.upper + parts.upper.T)
-
-
-def test_matrix_parts_rosenbrock_hessian():
-    from cshd.registry import get
-
-    H = get("rosenbrock2").hessian(np.array([1.1, 1.1**2 + 1e-5]))
-    parts = matrix_parts(H)
-    assert np.allclose(parts.upper, np.array([[0.0, -440.0], [0.0, 0.0]]), atol=1e-12)
-    assert parts.diag[0] == pytest.approx(969.996, abs=1e-9)
-    assert parts.diag[1] == pytest.approx(200.0, abs=1e-12)
-
-
-def test_matrix_parts_reconstruction():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        M = rng.standard_normal((n, n))
-        parts = matrix_parts(M)
-        assert np.array_equal(parts.diag_matrix + parts.upper + (parts.offdiag - parts.upper), M)
-
-
-def test_matrix_parts_requires_square():
-    with pytest.raises(DimensionError):
-        matrix_parts(np.ones((2, 3)))

@@ -36,7 +36,7 @@ def test_csv_roundtrip_is_exact():
         _row(h=1e-2, point="0.9,0.81", rer_grad=1.1e-9),
     ]
     rep = ExperimentReport(rows, ["fitted_order=2.0000000000000018", "best_h=0.001"])
-    back = ExperimentReport.from_csv(rep.to_csv())
+    back = ExperimentReport.from_csv(rep.render("csv"))
     assert back.rows == sorted(rows, key=lambda r: (r.function, r.point, r.set_name, -r.h)) or back.rows == rows
     for a, b in zip(rows, back.rows):
         assert a == b
@@ -45,7 +45,7 @@ def test_csv_roundtrip_is_exact():
 
 def test_point_field_with_commas_survives_csv():
     rep = ExperimentReport([_row(point="1.1000000000000001,1.21001")])
-    back = ExperimentReport.from_csv(rep.to_csv())
+    back = ExperimentReport.from_csv(rep.render("csv"))
     assert back.rows[0].point == "1.1000000000000001,1.21001"
 
 
@@ -61,7 +61,7 @@ def test_sort_invariant():
 
 
 def test_markdown_render():
-    text = ExperimentReport([_row()], ["note=1"]).to_markdown()
+    text = ExperimentReport([_row()], ["note=1"]).render("md")
     lines = text.splitlines()
     assert lines[0].startswith("| function |")
     assert lines[1].startswith("|---")

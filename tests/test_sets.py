@@ -74,7 +74,23 @@ def test_squared_set():
     assert np.allclose(S.squared(), h * h * np.eye(3), atol=1e-16)
     C = build_set(SetKind.CMPB, 2, h)
     assert np.allclose(C.squared(), [[h * h, 0, h * h], [0, h * h, h * h]], atol=1e-16)
-    assert np.allclose(C.scaled_squared() * C.radius**2, C.squared(), rtol=1e-14)
+
+
+def test_zero_column_is_rejected():
+    with pytest.raises(ParameterError, match="every direction column must be nonzero"):
+        SampleDirections(np.array([[1.0, 0.0], [0.0, -0.0]]))
+
+
+@pytest.mark.parametrize("h", [1e-170, 1e-160])
+def test_column_whose_squares_underflow_is_rejected(h):
+    # Nonzero columns whose norm lies below sqrt(tiny) ~ 1.49e-154: W = S .* S
+    # would underflow and the diagonal estimate would silently read 0.
+    S = build_set(SetKind.CB, 2, 1.0)
+    with pytest.raises(ParameterError, match="column 0 is too small: its squares underflow"):
+        S.scaled(h)
+    with pytest.raises(ParameterError, match="too small"):
+        build_set(SetKind.RMPB, 3, h)
+    assert S.scaled(1e-150).radius == 1e-150
 
 
 def test_lonely_squared_has_full_row_rank():
