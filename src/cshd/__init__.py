@@ -19,11 +19,6 @@ from .analysis import (
     convergence_order,
     cross_term_sum,
     error_bound,
-    fd_diag_hessian,
-    fd_gradient,
-    fd_hessian,
-    fd_third_tensor,
-    lipschitz_oracle,
     plan_error_bound,
     relative_error,
 )
@@ -35,7 +30,6 @@ from .calculus import (
     StencilPlan,
     centered_gradient,
     centered_hessian_diagonal,
-    diag_model_eval,
     evaluate_stencil,
     evaluate_stencils,
 )
@@ -77,16 +71,10 @@ __all__ = [
     "centered_hessian_diagonal",
     "convergence_order",
     "cross_term_sum",
-    "diag_model_eval",
     "error_bound",
     "evaluate_stencil",
     "evaluate_stencils",
-    "fd_diag_hessian",
-    "fd_gradient",
-    "fd_hessian",
-    "fd_third_tensor",
     "get_function",
-    "lipschitz_oracle",
     "load_directions",
     "plan_error_bound",
     "pseudoinverse",

@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_stencils",
     "centered_gradient",
     "centered_hessian_diagonal",
-    "diag_model_eval",
 ]
 
 
@@ -220,12 +219,14 @@ def evaluate_stencil(
 class StencilPlan:
     """The factors of a direction set S that every scale h*S shares.
 
-    Built from one SVD of S and one of W = S .* S.  ``grad_map`` is
-    pinv(S^T), ``diag_map`` is pinv(W^T), ``w_rank`` the numerical rank of
-    W and ``w_sigma_min`` the n-th singular value of the radius-normalized
-    W~ = W / radius^2 (0 when W has fewer than n columns).  All of them are
-    fixed linear-algebra facts of S; only the stencil values and the
-    factors 1/h and 1/h^2 change with the scale.
+    Built from the factors of S and of W = S .* S (see
+    :func:`~cshd.linalg.pinv_factors`).  ``grad_map`` is pinv(S^T),
+    ``diag_map`` is pinv(W^T), ``w_rank`` the numerical rank of W and
+    ``w_sigma_min`` the n-th singular value of the radius-normalized
+    W~ = W / radius^2 (0 when W has fewer than n columns).  ``s_cond`` is
+    the condition number sigma_max / sigma_min of S, infinite when S lacks
+    full row rank.  All of them are fixed linear-algebra facts of S; only
+    the stencil values and the factors 1/h and 1/h^2 change with the scale.
     """
 
     directions: SampleDirections
@@ -233,11 +234,14 @@ class StencilPlan:
     diag_map: np.ndarray = field(init=False, repr=False)
     w_rank: int = field(init=False)
     w_sigma_min: float = field(init=False)
+    s_cond: float = field(init=False)
     is_lonely: bool = field(init=False)
 
     def __post_init__(self):
         S = self.directions
-        grad_map = pinv_factors(S.matrix).pinv.T
+        s = pinv_factors(S.matrix)
+        grad_map = s.pinv.T
+        s_cond = float(s.singular_values[0] / s.singular_values[-1]) if s.rank == S.n else math.inf
         w = pinv_factors(S.squared())
         diag_map = w.pinv.T
         sigma_n = float(w.singular_values[S.n - 1]) if S.k >= S.n else 0.0
@@ -247,6 +251,7 @@ class StencilPlan:
         object.__setattr__(self, "diag_map", diag_map)
         object.__setattr__(self, "w_rank", w.rank)
         object.__setattr__(self, "w_sigma_min", sigma_n / S.radius**2)
+        object.__setattr__(self, "s_cond", s_cond)
         object.__setattr__(self, "is_lonely", S.is_lonely())
 
     @property
@@ -296,17 +301,3 @@ def centered_hessian_diagonal(stencil: EvaluatedStencil, S: SampleDirections) ->
     diagonal."""
     return StencilPlan(S).estimates(stencil, S)[1]
 
-
-def diag_model_eval(x, x0, f0: float, g, d) -> float:
-    """Evaluate the diagonal quadratic model
-    ``f0 + g . (x - x0) + 1/2 (x - x0) . D (x - x0)`` where D = Diag(d)."""
-    x = as_vector(x, "x")
-    x0 = as_vector(x0, "x0")
-    g = as_vector(g, "g")
-    d = as_vector(d, "d")
-    if not (x.size == x0.size == g.size == d.size):
-        raise ParameterError(
-            f"diag_model_eval: mismatched dimensions {x.size}, {x0.size}, {g.size}, {d.size}"
-        )
-    step = x - x0
-    return float(f0 + g @ step + 0.5 * (d * step) @ step)

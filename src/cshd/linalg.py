@@ -1,5 +1,11 @@
 """Dense real-matrix primitives: input validation, and the pseudoinverse and
-numerical rank from one SVD with one cutoff rule.
+numerical rank with one cutoff rule.
+
+The pseudoinverse comes from one SVD, except for the pattern shared by the
+paper's four direction sets and their squares: an n x n matrix with one
+value on the diagonal and one off it, optionally followed by a constant
+column.  Its singular values and pseudoinverse have a closed form, which
+is used whenever that form leaves every singular value above the cutoff.
 
 Everything operates on plain numpy arrays.  Inputs are validated once at the
 boundary (finite entries, expected dimensionality); all functions are pure.
@@ -23,6 +29,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,18 +60,48 @@ def _svd_cutoff(shape: tuple[int, int], singular_values: np.ndarray) -> float:
 
 class PinvFactors(NamedTuple):
     pinv: np.ndarray             # Moore-Penrose pseudoinverse
-    singular_values: np.ndarray  # descending, as returned by the SVD
+    singular_values: np.ndarray  # descending
     rank: int                    # singular values above the cutoff
 
 
+def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
+    # A is d on the diagonal and b off it, plus a column of c when k = n + 1.
+    # Then A A^T = p I + ((big - p) / n) 11^T: singular values sqrt(big) once
+    # and sqrt(p) n - 1 times, and Sherman-Morrison gives A^T (A A^T)^-1.
+    n, k = A.shape
+    if n < 2 or k not in (n, n + 1):
+        return None
+    d, b = float(A[0, 0]), float(A[1, 0])
+    c = float(A[0, n]) if k > n else 0.0
+    pattern = np.full((n, k), b)
+    np.fill_diagonal(pattern, d)
+    if k > n:
+        pattern[:, n] = c
+    if not np.array_equal(A, pattern):
+        return None
+    q = d - b
+    r = q + n * b
+    p, big = q * q, r * r + n * c * c
+    s = np.sqrt(np.sort(np.append(np.full(n - 1, p), big))[::-1])
+    if not (min(p, big) >= _TINY and s[-1] > _svd_cutoff(A.shape, s)):
+        return None  # rank deficient, or p or big not a normal double: the SVD decides
+    pinv = A - ((big - p) / n / big) * A.sum(axis=0)
+    pinv /= p
+    return PinvFactors(pinv.T, s, n)
+
+
 def pinv_factors(A) -> PinvFactors:
-    """Pseudoinverse, singular values and numerical rank of *A* from one SVD.
+    """Pseudoinverse, singular values and numerical rank of *A*.
 
     Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
     as zero, so rank-deficient input yields the least-squares /
-    minimum-norm inverse.
+    minimum-norm inverse.  A patterned matrix of full row rank (see the
+    module docstring) is factored in closed form, any other by one SVD.
     """
     A = as_matrix(A)
+    closed = _patterned_factors(A)
+    if closed is not None:
+        return closed
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     keep = s > _svd_cutoff(A.shape, s)
     inv = np.zeros_like(s)

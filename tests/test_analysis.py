@@ -6,11 +6,6 @@ from cshd.analysis import (
     convergence_order,
     cross_term_sum,
     error_bound,
-    fd_diag_hessian,
-    fd_gradient,
-    fd_hessian,
-    fd_third_tensor,
-    lipschitz_oracle,
     relative_error,
 )
 from cshd.calculus import centered_hessian_diagonal, evaluate_stencil
@@ -19,6 +14,7 @@ from cshd.registry import get
 from cshd.sets import SampleDirections, SetKind, build_set
 
 from helpers import random_lonely
+from oracles import fd_diag_hessian, fd_gradient, fd_hessian, fd_third_tensor, lipschitz_oracle
 
 X1 = np.array([1.1, 1.1**2 + 1e-5])
 

@@ -7,7 +7,6 @@ from cshd.calculus import (
     Objective,
     centered_gradient,
     centered_hessian_diagonal,
-    diag_model_eval,
     evaluate_stencil,
 )
 from cshd.exceptions import ParameterError, StencilError
@@ -15,6 +14,7 @@ from cshd.registry import get
 from cshd.sets import SampleDirections, SetKind, build_set
 
 from helpers import random_lonely
+from oracles import diag_model_eval, fd_diag_hessian
 
 X1 = np.array([1.1, 1.1**2 + 1e-5])
 X2 = np.array([0.9, 0.81])
@@ -87,8 +87,6 @@ def test_stencil_rosenbrock_eps_matches_diagonal():
     assert st.eps[0] == pytest.approx(h * h * 969.996, rel=1e-5)
     assert st.eps[1] == pytest.approx(h * h * 200.0, rel=1e-9)
     # independent cross-check of the diagonal via finite differences
-    from cshd.analysis import fd_diag_hessian
-
     assert np.allclose(fd_diag_hessian(rosen.fn, X1), [969.996, 200.0], rtol=1e-6)
 
 

@@ -2,23 +2,27 @@
 
 Each check compares the plan route against the formulas written out
 directly over the scaled set h*S, as the estimates and the bound are
-defined.
+defined, and the closed-form factors of the patterned sets against numpy's
+SVD-based ones.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cshd import experiments as ex
 from cshd.analysis import cross_term_sum, error_bound, plan_error_bound
 from cshd.calculus import StencilPlan, evaluate_stencil
 from cshd.exceptions import BoundInapplicableError
-from cshd.linalg import svd_rank
+from cshd.linalg import pinv_factors, svd_rank
 from cshd.sets import SampleDirections, SetKind, build_set
 
 from helpers import CountedFunction, random_conditioned
 
 RTOL = 1e-10
 HS = (1.0, 0.3, 1e-2, 1e-4)
+PAPER_KINDS = (SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB)
 
 
 def _close(a, b, rtol=RTOL):
@@ -40,7 +44,7 @@ def _direct(S, stencil, lipschitz, H):
 
 
 def _unit_sets(rng, n):
-    for kind in (SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB):
+    for kind in PAPER_KINDS:
         yield build_set(kind, n, 1.0)
     for k in (n, n + 1, 2 * n):
         yield SampleDirections(random_conditioned(rng, n, k))
@@ -130,3 +134,112 @@ def test_grid_studies_use_exact_evaluations():
         func.issued.clear()
         ex.run_limit_study(func, x0, kind, hs=hs, custom=S)
         assert sum(o.evals for o in func.issued) == 2 * k * hs.size + 1
+
+
+def _matches_numpy(A, factors):
+    """Pseudoinverse, singular values and full rank agree with numpy's SVD."""
+    return (
+        _close(factors.pinv, np.linalg.pinv(A))
+        and _close(factors.singular_values, np.linalg.svd(A, compute_uv=False))
+        and factors.rank == min(A.shape)
+    )
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the calls to np.linalg.svd while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+@pytest.mark.parametrize("kind", PAPER_KINDS, ids=lambda k: k.value)
+def test_paper_set_factors_match_svd(kind, n):
+    S = build_set(kind, n, 0.3)
+    for A in (S.matrix, S.squared()):
+        assert _matches_numpy(A, pinv_factors(A))
+
+
+# The fixture is shared by the examples, so the test clears it itself.
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 40),
+    extra=st.booleans(),
+    d=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+    c=st.floats(-10.0, 10.0),
+)
+def test_patterned_factors_match_svd(n, extra, d, b, c, svd_calls):
+    A = np.full((n, n + extra), b)
+    np.fill_diagonal(A, d)
+    if extra:
+        A[:, n] = c
+    s = np.linalg.svd(A, compute_uv=False)
+    assume(s[-1] > 1e-4 * s[0])
+    svd_calls.clear()
+    factors = pinv_factors(A)
+    assert not svd_calls
+    assert _matches_numpy(A, factors)
+
+
+def test_paper_sets_skip_the_svd(svd_calls):
+    StencilPlan(build_set(SetKind.RB, 200, 0.3))
+    assert len(svd_calls) == 0
+    StencilPlan(SampleDirections(np.random.default_rng(23).standard_normal((200, 201))))
+    assert len(svd_calls) == 2
+
+
+def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
+    n = 5
+    A = np.eye(n) - np.ones((n, n)) / n
+    f = pinv_factors(A)
+    assert svd_calls and f.rank == n - 1
+    assert _close(f.pinv, np.linalg.pinv(A))
+    # S = 2I - 11^T is patterned with full rank, but W = 11^T has rank 1.
+    S = SampleDirections(2.0 * np.eye(3) - 1.0)
+    plan = StencilPlan(S)
+    assert plan.w_rank == 1 and plan.s_cond == pytest.approx(np.linalg.cond(S.matrix), rel=RTOL)
+    with pytest.raises(BoundInapplicableError):
+        error_bound(S, 1.0, np.eye(3))
+
+
+def test_pattern_below_the_normal_range_falls_back_to_svd(svd_calls):
+    # The squares of these entries are subnormal, so p and big lose precision.
+    A = 1e-160 * (np.eye(3) + 0.3)
+    f = pinv_factors(A)
+    assert svd_calls and f.rank == 3
+    assert _close(1e-160 * f.pinv, 1e-160 * np.linalg.pinv(A))
+
+
+def test_unpatterned_matrices_are_factored_by_svd(svd_calls):
+    rng = np.random.default_rng(24)
+    # The kind is a label only: a CB-labelled random matrix is not the identity.
+    S = SampleDirections(random_conditioned(rng, 4, 4), SetKind.CB)
+    plan = StencilPlan(S)
+    assert len(svd_calls) == 2
+    assert _close(plan.grad_map, np.linalg.pinv(S.matrix.T))
+    assert _close(plan.diag_map, np.linalg.pinv(S.squared().T))
+    # rmpb's last column, the negated row sums of RB, is not exactly constant at n=3.
+    svd_calls.clear()
+    S = build_set(SetKind.RMPB, 3, 1.0)
+    factors = pinv_factors(S.matrix)
+    assert len(svd_calls) == 1
+    assert _matches_numpy(S.matrix, factors)
+
+
+def test_plan_keeps_the_condition_number_of_s():
+    rng = np.random.default_rng(25)
+    sets = [build_set(kind, n, 0.3) for kind in PAPER_KINDS for n in (1, 2, 3, 10)]
+    sets += [SampleDirections(random_conditioned(rng, n, k)) for n, k in ((3, 3), (3, 4), (4, 9))]
+    for S in sets:
+        assert StencilPlan(S).s_cond == pytest.approx(np.linalg.cond(S.matrix), rel=RTOL)
+    assert StencilPlan(SampleDirections(np.array([[1.0], [2.0]]))).s_cond == np.inf
+    assert StencilPlan(SampleDirections(np.array([[1.0, 2.0], [2.0, 4.0]]))).s_cond == np.inf

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cshd.analysis import fd_gradient, fd_hessian, lipschitz_oracle
 from cshd.exceptions import ParameterError
 from cshd.registry import REGISTRY, get
+
+from oracles import fd_gradient, fd_hessian, lipschitz_oracle
 
 # sampling neighborhoods keeping each function well scaled
 _CENTERS = {
