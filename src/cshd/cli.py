@@ -14,7 +14,7 @@ import numpy as np
 
 from . import experiments, registry
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError, StencilError
-from .report import FORMATS, ExperimentReport, fmt_float
+from .report import FORMATS, ExperimentReport, fmt_point, summary_lines
 from .sets import SetKind, load_directions
 
 EXIT_OK = 0
@@ -23,6 +23,7 @@ EXIT_BOUND_INAPPLICABLE = 3
 EXIT_REPRODUCTION_FAILED = 4
 
 _CONFIG_KEYS = ("function", "point", "set", "h", "h_grid", "f0", "format", "out", "with_bound")
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -93,8 +94,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             continue
         current = getattr(args, key)
         if key == "with_bound":
+            if value.lower() not in _TRUE + _FALSE:
+                raise ParameterError(
+                    f"config with_bound must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
             if current is False:
-                setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
+                setattr(args, key, value.lower() in _TRUE)
         elif current is None:
             if key == "format" and value not in FORMATS:
                 raise ParameterError(
@@ -169,20 +173,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _approx_text(result: experiments.ApproxResult, fmt: str) -> str:
-    report = ExperimentReport([result.row])
-    report.comments.append(f"g={','.join(fmt_float(v) for v in result.gradient.value)}")
-    report.comments.append(f"d={','.join(fmt_float(v) for v in result.diag.value)}")
-    report.comments.append(f"f0={fmt_float(result.stencil.f0)}")
-    report.comments.append(f"w_rank_deficient={'true' if result.diag.w_rank_deficient else 'false'}")
-    if result.bound is not None:
-        b = result.bound
-        report.comments.append(f"bound_pinv_norm={fmt_float(b.pinv_norm)}")
-        report.comments.append(f"bound_lipschitz_term={fmt_float(b.lipschitz_term)}")
-        report.comments.append(f"bound_cross_term={fmt_float(b.cross_term)}")
-        report.comments.append(f"bound_total={fmt_float(b.total)}")
-        if b.corollary_total is not None:
-            report.comments.append(f"bound_corollary_total={fmt_float(b.corollary_total)}")
-    return report.render(fmt)
+    b = result.bound
+    bound = {} if b is None else {f"bound_{k}": v for k, v in vars(b).items() if v is not None}
+    comments = summary_lines(g=fmt_point(result.gradient.value), d=fmt_point(result.diag.value),
+                             f0=result.stencil.f0, w_rank_deficient=result.diag.w_rank_deficient,
+                             **bound)
+    return ExperimentReport([result.row], comments).render(fmt)
 
 
 def _run(args: argparse.Namespace) -> int:

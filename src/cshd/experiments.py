@@ -5,7 +5,7 @@ experiments with their expected values.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .calculus import (
 from .exceptions import ParameterError
 from .linalg import _EPS
 from .registry import RegistryFunction, get as get_function
-from .report import ExperimentReport, ReportRow, fmt_float, fmt_point, render_table
+from .report import (ExperimentReport, ReportRow, as_record, fmt_float, fmt_point, render_table,
+                     summary_lines)
 from .sets import SampleDirections, SetKind, build_set
 
 __all__ = [
@@ -153,7 +154,7 @@ class _RowBuilder:
             ReportRow(
                 function=self.func.name,
                 point=self.label,
-                set_name=self.set_name,
+                set=self.set_name,
                 h=h,
                 delta_s=r,
                 rer_diag=a / self.diag_norm if self.diag_norm > 0.0 else None,
@@ -202,7 +203,7 @@ def _grid_rows(
     unit = build_scaled_set(kind, func.dim, 1.0, custom)
     builder = _RowBuilder(func, point, kind.value, unit, with_bound)
     obj = func.objective()
-    f0 = obj(point)
+    f0 = float(obj.values(point[np.newaxis], lambda r: "x0")[0])
     # Every h gets its own validated set; its radius is the row's delta_s.
     radii = [unit.scaled(h).radius for h in hs.tolist()]
     rows = builder.rows(obj, hs, radii, f0)[0]
@@ -258,20 +259,12 @@ def run_sweep(
     deltas = np.array([r.delta_s for r in rows])
     floor = 100.0 * _EPS * np.maximum(abs(f0) / deltas**2, truth_norm)
     kept = abs_errs > floor
-    fitted = None
-    if int(kept.sum()) >= 3:
-        fitted = convergence_order(hs[kept], abs_errs[kept])
+    fitted = convergence_order(hs[kept], abs_errs[kept]) if kept.sum() >= 3 else None
 
     metrics = np.array([_metric(r) for r in rows])
     best = int(np.argmin(metrics))
-    comments = []
-    if fitted is not None:
-        comments.append(f"fitted_order={fmt_float(fitted)}")
-    else:
-        comments.append("fitted_order=")
-    comments.append(f"best_h={fmt_float(hs[best])}")
-    comments.append(f"best_rer={fmt_float(metrics[best])}")
-    report = ExperimentReport(rows, comments).sort()
+    report = ExperimentReport(
+        rows, summary_lines(fitted_order=fitted, best_h=hs[best], best_rer=metrics[best]))
     return SweepResult(report, fitted, float(hs[best]), float(metrics[best]))
 
 
@@ -308,15 +301,10 @@ def run_limit_study(
     plateau = _middle(metrics[window])
 
     best = int(np.argmin(metrics))
-    nonmonotone = best < len(rows) - 1 and metrics[-1] >= NONMONOTONE_FACTOR * metrics[best]
-    comments = [
-        f"plateau_rer={fmt_float(plateau)}",
-        f"inf_rer={fmt_float(metrics[best])}",
-        f"inf_h={fmt_float(hs[best])}",
-        f"nonmonotone={'true' if nonmonotone else 'false'}",
-    ]
-    report = ExperimentReport(rows, comments).sort()
-    return LimitStudyResult(report, plateau, float(metrics[best]), float(hs[best]), bool(nonmonotone))
+    nonmonotone = bool(best < len(rows) - 1 and metrics[-1] >= NONMONOTONE_FACTOR * metrics[best])
+    report = ExperimentReport(rows, summary_lines(
+        plateau_rer=plateau, inf_rer=metrics[best], inf_h=hs[best], nonmonotone=nonmonotone))
+    return LimitStudyResult(report, plateau, float(metrics[best]), float(hs[best]), nonmonotone)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +325,6 @@ class ReproCheck:
     reference: str
     tolerance: str
     status: str
-
-    def as_record(self) -> list[str]:
-        """The fields as strings, ``computed`` with :func:`fmt_float`."""
-        return [fmt_float(v) if isinstance(v, float) else v for v in astuple(self)]
 
 
 REPRO_HEADER = [f.name for f in fields(ReproCheck)]
@@ -456,7 +440,7 @@ class ReproduceResult:
         return sum(1 for c in self.checks if c.status == "fail")
 
     def render(self, fmt: str = "csv") -> str:
-        return render_table(REPRO_HEADER, (c.as_record() for c in self.checks), (), fmt)
+        return render_table(REPRO_HEADER, map(as_record, self.checks), (), fmt)
 
 
 def run_reproduce(target: str) -> ReproduceResult:

@@ -1,39 +1,25 @@
 """Tabular experiment reports with CSV and markdown rendering.
 
-The CSV schema is fixed (see ``CSV_HEADER``); floats are serialized with 17
-significant digits so that parsing a report back reproduces every numeric
-field exactly.  Summary values (fitted orders, plateau estimates, ...) are
-carried as ``key=value`` comment lines rendered with a leading ``#``.
+A table's row dataclass is its schema: the field names are the header, written
+by :func:`as_record` and parsed by declared type.  Floats carry 17 significant
+digits, so parsing a report back reproduces every numeric field exactly.
+Summary values are ``key=value`` comment lines from :func:`summary_lines`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["CSV_HEADER", "FORMATS", "ReportRow", "ExperimentReport", "fmt_float", "fmt_point",
-           "render_table"]
+__all__ = ["CSV_HEADER", "FORMATS", "ReportRow", "ExperimentReport", "as_record", "fmt_float",
+           "fmt_point", "render_table", "summary_lines"]
 
 FORMATS = ("csv", "md")
-
-CSV_HEADER = [
-    "function",
-    "point",
-    "set",
-    "h",
-    "delta_s",
-    "rer_diag",
-    "abs_err_diag",
-    "rer_grad",
-    "bound_total",
-    "bound_cross",
-    "evals",
-]
 
 
 def fmt_float(x: float) -> str:
@@ -44,6 +30,25 @@ def fmt_float(x: float) -> str:
 def fmt_point(p) -> str:
     """Comma-joined full-precision coordinates."""
     return ",".join(fmt_float(v) for v in np.asarray(p, dtype=float))
+
+
+def _texts(values) -> list[str]:
+    """``None`` as empty, floats as :func:`fmt_float` writes them (inlined: a
+    call per value makes the records ~10% slower), anything else with ``str``."""
+    return ["" if v is None else "%.17g" % v if isinstance(v, float) else str(v) for v in values]
+
+
+def as_record(row) -> list[str]:
+    """A row of any report table as text, its fields in declaration order."""
+    return _texts(vars(row).values())
+
+
+def summary_lines(**values) -> list[str]:
+    """``key=value`` lines written as :func:`as_record` writes values, booleans
+    as ``true``/``false``."""
+    texts = _texts(str(v).lower() if isinstance(v, (bool, np.bool_)) else v
+                   for v in values.values())
+    return [f"{key}={text}" for key, text in zip(values, texts)]
 
 
 def render_table(header: list[str], records, comments, fmt: str) -> str:
@@ -67,9 +72,11 @@ def render_table(header: list[str], records, comments, fmt: str) -> str:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """A row of an approx, sweep or limit-study report; the fields are the header."""
+
     function: str
     point: str  # comma-joined coordinates
-    set_name: str
+    set: str
     h: float
     delta_s: float
     rer_diag: float | None
@@ -79,23 +86,26 @@ class ReportRow:
     bound_cross: float | None
     evals: int
 
-    def as_record(self) -> list[str]:
-        def opt(v):
-            return "" if v is None else fmt_float(v)
 
-        return [
-            self.function,
-            self.point,
-            self.set_name,
-            fmt_float(self.h),
-            fmt_float(self.delta_s),
-            opt(self.rer_diag),
-            opt(self.abs_err_diag),
-            opt(self.rer_grad),
-            opt(self.bound_total),
-            opt(self.bound_cross),
-            str(self.evals),
-        ]
+CSV_HEADER = [f.name for f in fields(ReportRow)]
+
+_PARSERS = {"str": str, "int": int, "float": float,
+            "float | None": lambda v: float(v) if v else None}
+_ROW_PARSERS = [(f.name, f.type, _PARSERS[f.type]) for f in fields(ReportRow)]
+
+
+def _parse_row(lineno: int, record: list[str]) -> ReportRow:
+    if len(record) != len(_ROW_PARSERS):
+        raise ParameterError(f"report line {lineno}: expected {len(_ROW_PARSERS)} fields, "
+                             f"got {len(record)}")
+    values = []
+    for (name, kind, parse), text in zip(_ROW_PARSERS, record):
+        try:
+            values.append(parse(text))
+        except ValueError:
+            raise ParameterError(
+                f"report line {lineno}: {name} must be {kind}, got {text!r}") from None
+    return ReportRow(*values)
 
 
 @dataclass
@@ -105,54 +115,26 @@ class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
     comments: list[str] = field(default_factory=list)
 
-    def sort(self) -> "ExperimentReport":
-        """Order rows by (function, point, set, descending h), in place."""
-        self.rows.sort(key=lambda r: (r.function, r.point, r.set_name, -r.h))
-        return self
-
     def summary(self) -> dict[str, str]:
-        out = {}
-        for c in self.comments:
-            key, _, value = c.partition("=")
-            out[key.strip()] = value.strip()
-        return out
+        """The ``key=value`` comments as a dict of their text."""
+        pairs = (c.partition("=") for c in self.comments)
+        return {key.strip(): value.strip() for key, _, value in pairs}
 
     def render(self, fmt: str = "csv") -> str:
-        return render_table(CSV_HEADER, (row.as_record() for row in self.rows), self.comments, fmt)
+        return render_table(CSV_HEADER, map(as_record, self.rows), self.comments, fmt)
 
     @staticmethod
     def from_csv(text: str) -> "ExperimentReport":
-        comments = []
-        data_lines = []
-        for line in text.splitlines():
+        """Parse a CSV report; a malformed record raises a
+        :class:`ParameterError` naming its line."""
+        comments, records = [], []
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
                 comments.append(line.lstrip("#").strip())
             elif line.strip():
-                data_lines.append(line)
-        if not data_lines:
+                records.append((lineno, next(csv.reader([line]))))
+        if not records:
             raise ParameterError("empty report")
-        records = list(csv.reader(io.StringIO("\n".join(data_lines))))
-        if records[0] != CSV_HEADER:
-            raise ParameterError(f"unexpected report header: {records[0]!r}")
-
-        def opt(v):
-            return None if v == "" else float(v)
-
-        rows = [
-            ReportRow(
-                function=r[0],
-                point=r[1],
-                set_name=r[2],
-                h=float(r[3]),
-                delta_s=float(r[4]),
-                rer_diag=opt(r[5]),
-                abs_err_diag=opt(r[6]),
-                rer_grad=opt(r[7]),
-                bound_total=opt(r[8]),
-                bound_cross=opt(r[9]),
-                evals=int(r[10]),
-            )
-            for r in records[1:]
-        ]
-        return ExperimentReport(rows, comments)
-
+        if records[0][1] != CSV_HEADER:
+            raise ParameterError(f"unexpected report header: {records[0][1]!r}")
+        return ExperimentReport([_parse_row(*r) for r in records[1:]], comments)

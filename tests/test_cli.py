@@ -102,7 +102,7 @@ def test_custom_set_without_bound_is_fine(tmp_path):
     )
     assert res.returncode == 0
     row = ExperimentReport.from_csv(res.stdout).rows[0]
-    assert row.set_name == "custom"
+    assert row.set == "custom"
     assert row.delta_s == pytest.approx(1e-3 * np.sqrt(2.0), rel=1e-12)
 
 
@@ -200,7 +200,7 @@ def test_config_custom_path_is_relative_to_the_config_file(tmp_path, monkeypatch
 
     for cfg in ("rel.cfg", "abs.cfg"):
         code, row = run("--config", str(study / cfg))
-        assert code == 0 and row.set_name == "custom" and row.evals == 7
+        assert code == 0 and row.set == "custom" and row.evals == 7
     # --set on the command line still reads from the cwd
     code, row = run("--config", str(study / "rel.cfg"), "--set", "custom:dirs.txt")
     assert code == 0 and row.evals == 5
@@ -258,3 +258,22 @@ def test_run_limit_study_needs_plateau_points():
     func = get("rosenbrock2")
     with pytest.raises(ParameterError):
         experiments.run_limit_study(func, np.array([1.0, 1.0]), SetKind.CB, hs=[1.0, 0.5, 0.25])
+
+
+def test_config_with_bound_accepts_only_booleans(tmp_path, capsys):
+    from cshd import cli
+
+    base = "function = rosenbrock2\npoint = 0.9,0.81\nset = cb\nh = 1e-2\n"
+    cfg = tmp_path / "study.cfg"
+    for value, bounded in (("TRUE", True), ("on", True), ("1", True), ("Yes", True),
+                           ("false", False), ("OFF", False), ("0", False), ("no", False)):
+        cfg.write_text(base + f"with_bound = {value}\n")
+        assert cli.main(["approx", "--config", str(cfg)]) == 0
+        summary = ExperimentReport.from_csv(capsys.readouterr().out).summary()
+        assert ("bound_total" in summary) is bounded
+    for value in ("ture", "2", ""):
+        cfg.write_text(base + f"with_bound = {value}\n")
+        assert cli.main(["approx", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "with_bound must be one of" in captured.err
+        assert repr(value) in captured.err

@@ -69,12 +69,12 @@ def test_sweep_rows_equal_single_set_rows(n, kind, hs, seed):
         assert row.bound_cross == pytest.approx(one.bound_cross, rel=RTOL)
 
 
-def _failing(func, bad_point, raises):
+def _failing(func, bad_point, raises, value=float("nan")):
     def fn(y):
         if np.array_equal(y, bad_point):
             if raises:
                 raise RuntimeError("boom")
-            return float("nan")
+            return value
         return func.fn(y)
 
     return CountedFunction(func.name, func.dim, fn, func.gradient, func.hessian, func.lipschitz_d3)
@@ -103,6 +103,21 @@ def test_grid_failure_names_minus_point_and_counts(study):
                 ex.run_limit_study(func, point, kind, hs=hs, custom=custom)
         (obj,) = func.issued
         assert obj.evals == 1 + 2 * k * j + k + i
+
+
+@pytest.mark.parametrize("study", ["sweep", "limit"])
+@pytest.mark.parametrize("raises", [False, True], ids=["inf", "raises"])
+def test_grid_failure_at_x0_is_named_like_approx(study, raises):
+    point = np.array([0.9, 0.81])
+    func = _failing(get("rosenbrock2"), point, raises, value=float("inf"))
+    match = "evaluation failed" if raises else "non-finite value inf"
+    with pytest.raises(StencilError, match=rf"^{match} at x0 = \[0.9, 0.81\]"):
+        if study == "sweep":
+            ex.run_sweep(func, point, SetKind.CB, [1e-1, 1e-2, 1e-3])
+        else:
+            ex.run_limit_study(func, point, SetKind.CB)
+    (obj,) = func.issued
+    assert obj.evals == 1
 
 
 def test_sweep_names_the_h_that_underflows():
