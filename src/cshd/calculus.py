@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError, StencilError
-from .linalg import as_vector, pinv_factors
+from .linalg import PinvFactors, as_vector, pinv_factors
 from .sets import SampleDirections
 
 __all__ = [
@@ -60,12 +60,12 @@ class Objective:
         return self._evals
 
     def __call__(self, x) -> float:
+        """f at one point of R^dim: the one-row case of :meth:`values`, with
+        the same count and the same :class:`StencilError` on failure."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ParameterError(f"{self.name}: expected a point in R^{self.dim}, got shape {x.shape}")
-        with self._lock:
-            self._evals += 1
-        return float(self._fn(x))
+        return float(self.values(x[np.newaxis], lambda r: "x")[0])
 
     def values(self, points, label: Callable[[int], str] = "row {}".format) -> np.ndarray:
         """f at each row of an ``(m, dim)`` array of points, in row order.
@@ -220,18 +220,22 @@ class StencilPlan:
     """The factors of a direction set S that every scale h*S shares.
 
     Built from the factors of S and of W = S .* S (see
-    :func:`~cshd.linalg.pinv_factors`).  ``grad_map`` is pinv(S^T),
-    ``diag_map`` is pinv(W^T), ``w_rank`` the numerical rank of W and
-    ``w_sigma_min`` the n-th singular value of the radius-normalized
-    W~ = W / radius^2 (0 when W has fewer than n columns).  ``s_cond`` is
-    the condition number sigma_max / sigma_min of S, infinite when S lacks
-    full row rank.  All of them are fixed linear-algebra facts of S; only
-    the stencil values and the factors 1/h and 1/h^2 change with the scale.
+    :func:`~cshd.linalg.pinv_factors`): in closed form for the paper's
+    sets, by QR for any other set of full row rank and by SVD for the rest.
+    ``s_factors`` applies pinv(S^T) and ``w_factors`` pinv(W^T) to stencil
+    data; neither pseudoinverse is formed on the QR route, since forming it
+    would cost most of what the route saves over the SVD.  ``w_rank`` is the
+    numerical rank of W and ``w_sigma_min`` the n-th singular value of the
+    radius-normalized W~ = W / radius^2 (0 when W has fewer than n
+    columns).  ``s_cond`` is the condition number sigma_max / sigma_min of
+    S, infinite when S lacks full row rank.  All of them are fixed
+    linear-algebra facts of S; only the stencil values and the factors 1/h
+    and 1/h^2 change with the scale.
     """
 
     directions: SampleDirections
-    grad_map: np.ndarray = field(init=False, repr=False)
-    diag_map: np.ndarray = field(init=False, repr=False)
+    s_factors: PinvFactors = field(init=False, repr=False)
+    w_factors: PinvFactors = field(init=False, repr=False)
     w_rank: int = field(init=False)
     w_sigma_min: float = field(init=False)
     s_cond: float = field(init=False)
@@ -240,15 +244,14 @@ class StencilPlan:
     def __post_init__(self):
         S = self.directions
         s = pinv_factors(S.matrix)
-        grad_map = s.pinv.T
         s_cond = float(s.singular_values[0] / s.singular_values[-1]) if s.rank == S.n else math.inf
         w = pinv_factors(S.squared())
-        diag_map = w.pinv.T
         sigma_n = float(w.singular_values[S.n - 1]) if S.k >= S.n else 0.0
-        for a in (grad_map, diag_map):
-            a.flags.writeable = False
-        object.__setattr__(self, "grad_map", grad_map)
-        object.__setattr__(self, "diag_map", diag_map)
+        for a in (s.pinv, w.pinv, *(s.qr or ()), *(w.qr or ())):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(self, "s_factors", s)
+        object.__setattr__(self, "w_factors", w)
         object.__setattr__(self, "w_rank", w.rank)
         object.__setattr__(self, "w_sigma_min", sigma_n / S.radius**2)
         object.__setattr__(self, "s_cond", s_cond)
@@ -262,14 +265,15 @@ class StencilPlan:
     def scaled_estimates(self, delta_c, eps, hs) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian-diagonal estimates over ``hs[j] * directions``
         from ``(m, k)`` stencil data, one row per scale:
-        ``delta_c @ pinv(S^T)^T / h`` and ``eps @ pinv(W^T)^T / h^2``.
+        ``pinv(S^T) @ delta_c / h`` and ``pinv(W^T) @ eps / h^2`` for every
+        row at once.
 
         Raises :class:`ParameterError` naming the first h whose estimates
         are not finite (an h so small that h^2 underflows)."""
         hs = np.asarray(hs, dtype=float)[:, np.newaxis]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = delta_c @ self.grad_map.T / hs
-            d = eps @ self.diag_map.T / (hs * hs)
+            g = self.s_factors.apply(delta_c) / hs
+            d = self.w_factors.apply(eps) / (hs * hs)
         bad = ~(np.isfinite(g).all(axis=1) & np.isfinite(d).all(axis=1))
         if bad.any():
             h = float(hs[bad.argmax(), 0])

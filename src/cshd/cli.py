@@ -91,7 +91,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         cfg["set"] = _config_relative_set(cfg["set"], Path(args.config).parent)
     for key, value in cfg.items():
         if not hasattr(args, key):
-            continue
+            raise ParameterError(f"{args.config}: key {key!r} does not apply to {args.command}")
         current = getattr(args, key)
         if key == "with_bound":
             if value.lower() not in _TRUE + _FALSE:

@@ -1,11 +1,21 @@
 """Dense real-matrix primitives: input validation, and the pseudoinverse and
 numerical rank with one cutoff rule.
 
-The pseudoinverse comes from one SVD, except for the pattern shared by the
-paper's four direction sets and their squares: an n x n matrix with one
-value on the diagonal and one off it, optionally followed by a constant
-column.  Its singular values and pseudoinverse have a closed form, which
-is used whenever that form leaves every singular value above the cutoff.
+The pseudoinverse is factored by the first of three routes that applies:
+
+* the closed form, for the pattern shared by the paper's four direction
+  sets and their squares: an n x n matrix with one value on the diagonal
+  and one off it, optionally followed by a constant column;
+* a QR factorization A^T = q r, for any other n x k matrix with k >= n,
+  with the singular values of the triangle r (they are those of A);
+* one SVD with U and V, for everything else.
+
+The first two apply only when every one of the n singular values lies above
+the cutoff, so the SVD decides every rank-deficient matrix and the cutoff
+stays the only rank rule.  The QR route leaves the pseudoinverse unformed:
+applying pinv(A^T) = r^-1 q^T to stencil data is a product with q^T and a
+triangular solve, while forming pinv(A) would cost most of what the route
+saves over the SVD.
 
 Everything operates on plain numpy arrays.  Inputs are validated once at the
 boundary (finite entries, expected dimensionality); all functions are pure.
@@ -59,9 +69,32 @@ def _svd_cutoff(shape: tuple[int, int], singular_values: np.ndarray) -> float:
 
 
 class PinvFactors(NamedTuple):
-    pinv: np.ndarray             # Moore-Penrose pseudoinverse
+    """The factors of pinv(A) for an n x k matrix A.
+
+    ``pinv`` is pinv(A) itself on the closed-form and SVD routes.  On the QR
+    route it is None and ``qr`` holds ``(q, r)`` with A^T = q r, q k x n with
+    orthonormal columns and r n x n upper triangular and nonsingular, so
+    pinv(A) = q r^-T.
+    """
+
+    pinv: np.ndarray | None
     singular_values: np.ndarray  # descending
     rank: int                    # singular values above the cutoff
+    qr: tuple[np.ndarray, np.ndarray] | None = None
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ pinv(A)`` for an (m, k) array: pinv(A^T) applied to every row."""
+        if self.qr is None:
+            return rows @ self.pinv
+        q, r = self.qr
+        return np.linalg.solve(r, q.T @ rows.T).T
+
+    def pseudoinverse(self) -> np.ndarray:
+        """pinv(A), formed from the QR factors if it is not kept."""
+        if self.qr is None:
+            return self.pinv
+        q, r = self.qr
+        return np.linalg.solve(r, q.T).T
 
 
 def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
@@ -90,18 +123,32 @@ def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
     return PinvFactors(pinv.T, s, n)
 
 
+def _qr_factors(A: np.ndarray) -> PinvFactors | None:
+    # A^T = q r with q orthonormal, so r has the singular values of A.
+    n, k = A.shape
+    if k < n:
+        return None
+    q, r = np.linalg.qr(A.T)
+    s = np.linalg.svd(r, compute_uv=False)
+    if not s[-1] > _svd_cutoff(A.shape, s):
+        return None  # rank deficient: the SVD decides
+    return PinvFactors(None, s, n, (q, r))
+
+
 def pinv_factors(A) -> PinvFactors:
-    """Pseudoinverse, singular values and numerical rank of *A*.
+    """Factors of the pseudoinverse, singular values and numerical rank of *A*.
 
     Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
     as zero, so rank-deficient input yields the least-squares /
     minimum-norm inverse.  A patterned matrix of full row rank (see the
-    module docstring) is factored in closed form, any other by one SVD.
+    module docstring) is factored in closed form, any other of full row
+    rank by QR with the pseudoinverse left unformed, and the rest by one
+    SVD.
     """
     A = as_matrix(A)
-    closed = _patterned_factors(A)
-    if closed is not None:
-        return closed
+    factors = _patterned_factors(A) or _qr_factors(A)
+    if factors is not None:
+        return factors
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     keep = s > _svd_cutoff(A.shape, s)
     inv = np.zeros_like(s)
@@ -112,7 +159,7 @@ def pinv_factors(A) -> PinvFactors:
 def pseudoinverse(A) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a dense real matrix (see
     :func:`pinv_factors` for the rank cutoff)."""
-    return pinv_factors(A).pinv
+    return pinv_factors(A).pseudoinverse()
 
 
 def svd_rank(A) -> tuple[np.ndarray, int]:

@@ -125,8 +125,10 @@ def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
         m = np.hstack([np.eye(n), -np.ones((n, 1))])
     elif kind is SetKind.RMPB:
         rb = regular_basis(n)
-        # The (n+1)-th column is the negated row sums of the regular basis.
-        m = np.hstack([rb, -rb.sum(axis=1, keepdims=True)])
+        # The (n+1)-th column is the negated row sum of the regular basis.
+        # Every row has the same sum; taking the first row's for all keeps the
+        # column exactly constant, which rounding each row's sum would not.
+        m = np.hstack([rb, np.full((n, 1), -rb[0].sum())])
     else:
         raise ParameterError("custom sets are loaded from a file or built from an explicit matrix")
     return SampleDirections(h * m, kind)

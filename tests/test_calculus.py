@@ -37,6 +37,16 @@ def test_objective_counts_failing_calls():
     assert obj.evals == 1
 
 
+def test_objective_rejects_a_non_finite_value():
+    values = iter([float("nan"), float("inf"), 2.5])
+    obj = Objective(lambda y: next(values), 2)
+    for bad in ("nan", "inf"):
+        with pytest.raises(StencilError, match=f"non-finite value {bad} at x = \\[0.0, 1.0\\]"):
+            obj(np.array([0.0, 1.0]))
+    assert obj(np.array([0.0, 1.0])) == 2.5
+    assert obj.evals == 3
+
+
 def test_objective_counter_is_thread_safe():
     obj = Objective(lambda y: 0.0, 1)
     with ThreadPoolExecutor(max_workers=8) as pool:

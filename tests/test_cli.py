@@ -277,3 +277,21 @@ def test_config_with_bound_accepts_only_booleans(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "with_bound must be one of" in captured.err
         assert repr(value) in captured.err
+
+
+def test_config_keys_must_apply_to_the_subcommand(tmp_path, capsys):
+    from cshd import cli
+
+    base = "function = rosenbrock2\npoint = 0.9,0.81\nset = cb\n"
+    cfg = tmp_path / "study.cfg"
+    for command, line in (("limit-study", "h = abc"), ("limit-study", "with_bound = ture"),
+                          ("limit-study", "with_bound = true"), ("sweep", "f0 = 1.0"),
+                          ("approx", "h_grid = 1e-1:1e-3:0.1")):
+        cfg.write_text(base + line + "\n")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        key = line.split(" = ")[0]
+        assert captured.out == ""
+        assert f"key {key!r} does not apply to {command}" in captured.err
+    cfg.write_text(base)
+    assert cli.main(["limit-study", "--config", str(cfg)]) == 0

@@ -2,8 +2,7 @@
 
 Each check compares the plan route against the formulas written out
 directly over the scaled set h*S, as the estimates and the bound are
-defined, and the closed-form factors of the patterned sets against numpy's
-SVD-based ones.
+defined, and the closed-form and QR factors against numpy's SVD-based ones.
 """
 
 import numpy as np
@@ -139,7 +138,7 @@ def test_grid_studies_use_exact_evaluations():
 def _matches_numpy(A, factors):
     """Pseudoinverse, singular values and full rank agree with numpy's SVD."""
     return (
-        _close(factors.pinv, np.linalg.pinv(A))
+        _close(factors.pseudoinverse(), np.linalg.pinv(A))
         and _close(factors.singular_values, np.linalg.svd(A, compute_uv=False))
         and factors.rank == min(A.shape)
     )
@@ -147,13 +146,15 @@ def _matches_numpy(A, factors):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts the calls to np.linalg.svd while the test runs."""
+    """Records the ``compute_uv`` of every np.linalg.svd call while the test
+    runs: False for the singular values of a QR triangle, True for a full
+    SVD."""
     calls = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append(compute_uv)
+        return svd(a, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
@@ -165,6 +166,19 @@ def test_paper_set_factors_match_svd(kind, n):
     S = build_set(kind, n, 0.3)
     for A in (S.matrix, S.squared()):
         assert _matches_numpy(A, pinv_factors(A))
+
+
+@pytest.mark.parametrize("kind", PAPER_KINDS, ids=lambda k: k.value)
+def test_paper_sets_take_the_closed_form_at_every_n(kind, svd_calls):
+    for n in [*range(2, 41), 200]:
+        S = build_set(kind, n, 0.3)
+        pinv_factors(S.matrix)
+        pinv_factors(S.squared())
+        assert not svd_calls, n
+    # At n = 1 there is no pattern to detect; the QR route takes the set.
+    S = build_set(kind, 1, 0.3)
+    pinv_factors(S.matrix)
+    assert svd_calls == [False]
 
 
 # The fixture is shared by the examples, so the test clears it itself.
@@ -194,14 +208,14 @@ def test_paper_sets_skip_the_svd(svd_calls):
     StencilPlan(build_set(SetKind.RB, 200, 0.3))
     assert len(svd_calls) == 0
     StencilPlan(SampleDirections(np.random.default_rng(23).standard_normal((200, 201))))
-    assert len(svd_calls) == 2
+    assert svd_calls == [False, False]
 
 
 def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
     n = 5
     A = np.eye(n) - np.ones((n, n)) / n
     f = pinv_factors(A)
-    assert svd_calls and f.rank == n - 1
+    assert svd_calls == [False, True] and f.rank == n - 1
     assert _close(f.pinv, np.linalg.pinv(A))
     # S = 2I - 11^T is patterned with full rank, but W = 11^T has rank 1.
     S = SampleDirections(2.0 * np.eye(3) - 1.0)
@@ -211,28 +225,98 @@ def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
         error_bound(S, 1.0, np.eye(3))
 
 
-def test_pattern_below_the_normal_range_falls_back_to_svd(svd_calls):
+def test_pattern_below_the_normal_range_is_factored_by_qr(svd_calls):
     # The squares of these entries are subnormal, so p and big lose precision.
     A = 1e-160 * (np.eye(3) + 0.3)
     f = pinv_factors(A)
-    assert svd_calls and f.rank == 3
-    assert _close(1e-160 * f.pinv, 1e-160 * np.linalg.pinv(A))
+    assert svd_calls == [False] and f.rank == 3 and f.pinv is None
+    assert _close(1e-160 * f.pseudoinverse(), 1e-160 * np.linalg.pinv(A))
 
 
-def test_unpatterned_matrices_are_factored_by_svd(svd_calls):
+def _check_plan_against_numpy(S, rng):
+    """The plan's estimates over several scales and its bound terms agree
+    with numpy's pinv and SVD of S and W written out directly."""
+    W = S.squared()
+    plan = StencilPlan(S)
+    delta_c, eps = rng.standard_normal((2, len(HS), S.k))
+    g, d = plan.scaled_estimates(delta_c, eps, HS)
+    for j, h in enumerate(HS):
+        assert _close(g[j], np.linalg.pinv(S.matrix.T) @ delta_c[j] / h)
+        assert _close(d[j], np.linalg.pinv(W.T) @ eps[j] / h**2)
+    assert plan.s_cond == pytest.approx(np.linalg.cond(S.matrix), rel=RTOL)
+    assert plan.w_rank == np.linalg.matrix_rank(W) == S.n
+    Wt = W / S.radius**2
+    assert plan.w_sigma_min == pytest.approx(np.linalg.svd(Wt, compute_uv=False)[-1], rel=RTOL)
+    pinv_norm = plan_error_bound(plan, S.radius, 1.0, 0.0).pinv_norm
+    assert pinv_norm == pytest.approx(np.linalg.norm(np.linalg.pinv(Wt.T), 2), rel=RTOL)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 12), extra=st.sampled_from(["0", "1", "n"]), seed=st.integers(0, 2**32 - 1))
+def test_full_rank_custom_sets_match_numpy(n, extra, seed, svd_calls):
+    k = {"0": n, "1": n + 1, "n": 2 * n}[extra]
+    rng = np.random.default_rng(seed)
+    S = SampleDirections(random_conditioned(rng, n, k))
+    assume(svd_rank(S.squared())[1] == n)
+    svd_calls.clear()
+    _check_plan_against_numpy(S, rng)
+    # S and W go the QR route; the calls after theirs are numpy's.
+    assert svd_calls[:2] == [False, False]
+
+
+def test_full_rank_custom_set_at_n_200_matches_numpy(svd_calls):
+    rng = np.random.default_rng(26)
+    S = SampleDirections(rng.standard_normal((200, 201)))
+    _check_plan_against_numpy(S, rng)
+    assert svd_calls[:2] == [False, False]
+
+
+def test_unpatterned_full_rank_matrices_are_factored_by_qr(svd_calls):
     rng = np.random.default_rng(24)
     # The kind is a label only: a CB-labelled random matrix is not the identity.
     S = SampleDirections(random_conditioned(rng, 4, 4), SetKind.CB)
     plan = StencilPlan(S)
-    assert len(svd_calls) == 2
-    assert _close(plan.grad_map, np.linalg.pinv(S.matrix.T))
-    assert _close(plan.diag_map, np.linalg.pinv(S.squared().T))
-    # rmpb's last column, the negated row sums of RB, is not exactly constant at n=3.
+    assert svd_calls == [False, False]
+    assert plan.s_factors.pinv is None and plan.w_factors.pinv is None
+    assert _close(plan.s_factors.pseudoinverse().T, np.linalg.pinv(S.matrix.T))
+    assert _close(plan.w_factors.pseudoinverse().T, np.linalg.pinv(S.squared().T))
+
+
+def test_rank_deficient_or_short_sets_reach_the_full_svd(svd_calls):
+    rng = np.random.default_rng(27)
+    # Equal squares in two rows: S has full row rank, W does not.
+    m = rng.standard_normal((4, 6))
+    m[1] = m[0] * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    plan = StencilPlan(SampleDirections(m))
+    assert svd_calls == [False, False, True] and plan.w_rank == 3
+    assert plan.s_factors.pinv is None and plan.w_factors.qr is None
+    # k < n: the QR route does not apply to either matrix.
     svd_calls.clear()
-    S = build_set(SetKind.RMPB, 3, 1.0)
-    factors = pinv_factors(S.matrix)
-    assert len(svd_calls) == 1
-    assert _matches_numpy(S.matrix, factors)
+    S = SampleDirections(rng.standard_normal((4, 3)))
+    plan = StencilPlan(S)
+    assert svd_calls == [True, True] and plan.w_rank == 3
+    delta_c, eps = rng.standard_normal((2, 1, 3))
+    g, d = plan.scaled_estimates(delta_c, eps, [0.1])
+    assert _close(g[0], np.linalg.pinv(S.matrix.T) @ delta_c[0] / 0.1)
+    assert _close(d[0], np.linalg.pinv(S.squared().T) @ eps[0] / 0.01)
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.3, 3.0, 10.0])
+def test_qr_route_rank_agrees_with_svd_rank_near_the_cutoff(factor, svd_calls):
+    # sigma_n is set to factor * max(n, k) * sigma_max * eps, the cutoff times factor.
+    rng = np.random.default_rng(28)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        k = n + int(rng.integers(0, n + 1))
+        s = np.append(2.0, rng.uniform(0.5, 2.0, n - 1))
+        s[-1] = factor * max(n, k) * eps * 2.0
+        A = random_conditioned(rng, n, n) @ np.diag(s) @ np.linalg.qr(rng.standard_normal((k, n)))[0].T
+        svd_calls.clear()
+        rank = pinv_factors(A).rank
+        assert rank == svd_rank(A)[1] == (n if factor > 1 else n - 1)
+        assert (True in svd_calls) == (factor < 1)
 
 
 def test_plan_keeps_the_condition_number_of_s():
