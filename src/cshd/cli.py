@@ -59,6 +59,7 @@ def _load_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,7 +70,10 @@ def _load_config(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ParameterError(f"{path}: line {lineno}: unknown key {key!r}")
-        out[key] = value.strip()
+        if key in seen:
+            raise ParameterError(
+                f"{path}: line {lineno}: duplicate key {key!r}, already set on line {seen[key]}")
+        out[key], seen[key] = value.strip(), lineno
     return out
 
 
@@ -83,27 +87,24 @@ def _config_relative_set(value: str, config_dir: Path) -> str:
     return prefix + str(config_dir / path)
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The config file's lines as the flags they name: ``key = value`` is
+    ``--key=value`` and ``with_bound`` is ``--with-bound`` or nothing."""
     cfg = _load_config(args.config)
     if "set" in cfg:
         cfg["set"] = _config_relative_set(cfg["set"], Path(args.config).parent)
+    flags = []
     for key, value in cfg.items():
         if not hasattr(args, key):
             raise ParameterError(f"{args.config}: key {key!r} does not apply to {args.command}")
-        current = getattr(args, key)
-        if key == "with_bound":
-            if value.lower() not in _TRUE + _FALSE:
-                raise ParameterError(
-                    f"config with_bound must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
-            if current is False:
-                setattr(args, key, value.lower() in _TRUE)
-        elif current is None:
-            if key == "format" and value not in FORMATS:
-                raise ParameterError(
-                    f"config format must be {' or '.join(FORMATS)}, got {value!r}")
-            setattr(args, key, value)
+        if key != "with_bound":
+            flags.append(f"--{key.replace('_', '-')}={value}")
+        elif value.lower() in _TRUE:
+            flags.append("--with-bound")
+        elif value.lower() not in _FALSE:
+            raise ParameterError(
+                f"config with_bound must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,14 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if need_h_grid:
             p.add_argument("--h-grid", dest="h_grid", help="geometric grid START:STOP:FACTOR")
-        p.add_argument("--format", choices=FORMATS, default=None,
+        p.add_argument("--format", choices=FORMATS, default="csv",
                        help="output format (default csv)")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--config", help="key = value file supplying defaults for the flags")
+        p.add_argument("--config", help="file of 'key = value' lines, each read as --key=value "
+                       "before the command-line flags, which win; a key may appear once")
 
     p_approx = sub.add_parser("approx", help="single approximation at one h")
     common(p_approx)
-    p_approx.add_argument("--h", type=float, help="scale of the direction set (default 1)")
+    p_approx.add_argument("--h", type=float, default=1.0,
+                          help="scale of the direction set (default 1)")
     p_approx.add_argument("--f0", type=float, help="known value of f at the point (saves one evaluation)")
     p_approx.add_argument("--with-bound", dest="with_bound", action="store_true",
                           help="also evaluate the error-bound breakdown")
@@ -187,22 +190,17 @@ def _run(args: argparse.Namespace) -> int:
         _emit(result.render(args.format), args.out)
         return EXIT_REPRODUCTION_FAILED if result.failed else EXIT_OK
 
-    _apply_config(args)
-    if args.format is None:
-        args.format = "csv"
     _require(args, "function", "point", "set")
     func = registry.get(args.function)
-    point = _parse_point(args.point) if isinstance(args.point, str) else args.point
+    point = _parse_point(args.point)
     kind, custom = _parse_set(args.set)
 
     if args.command == "approx":
-        h = float(args.h) if args.h is not None else 1.0
-        if not (np.isfinite(h) and h > 0):
+        if not (np.isfinite(args.h) and args.h > 0):
             raise ParameterError(f"--h must be positive and finite, got {args.h}")
-        S = experiments.build_scaled_set(kind, func.dim, h, custom)
-        f0 = float(args.f0) if args.f0 is not None else None
+        S = experiments.build_scaled_set(kind, func.dim, args.h, custom)
         result = experiments.run_approx(
-            func, point, S, h=h, with_bound=args.with_bound, known_f0=f0
+            func, point, S, h=args.h, with_bound=args.with_bound, known_f0=args.f0
         )
         _emit(_approx_text(result, args.format), args.out)
         return EXIT_OK
@@ -226,18 +224,13 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    # args.h/f0 may arrive as strings through a config file
-    for key in ("h", "f0"):
-        value = getattr(args, key, None)
-        if isinstance(value, str):
-            try:
-                setattr(args, key, float(value))
-            except ValueError:
-                print(f"error: --{key} must be numeric, got {value!r}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
     try:
+        if getattr(args, "config", None):
+            # The subcommand is argv[0]; explicit flags come last and so win.
+            args = parser.parse_args([argv[0], *_config_argv(args), *argv[1:]])
         return _run(args)
     except BoundInapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)

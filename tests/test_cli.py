@@ -295,3 +295,106 @@ def test_config_keys_must_apply_to_the_subcommand(tmp_path, capsys):
         assert f"key {key!r} does not apply to {command}" in captured.err
     cfg.write_text(base)
     assert cli.main(["limit-study", "--config", str(cfg)]) == 0
+
+
+def test_config_rejects_a_duplicate_key(tmp_path, capsys):
+    from cshd import cli
+
+    base = "function = rosenbrock2\npoint = 0.9,0.81\nset = cb\n"
+    cfg = tmp_path / "study.cfg"
+    for lines, key, second in (("h = 1e-3\n# note\nh = 0.5\n", "h", 6),
+                               ("h = 1e-3\nh = 1e-3\n", "h", 5),
+                               ("format = md\nformat = csv\n", "format", 5)):
+        cfg.write_text(base + lines)
+        assert cli.main(["approx", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {second}: duplicate key {key!r}, already set on line 4" in captured.err
+    cfg.write_text(base + "h_grid = 1e-1:1e-3:0.1\nh-grid = 1e-1:1e-4:0.1\n")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert "line 5: duplicate key 'h_grid', already set on line 4" in capsys.readouterr().err
+
+
+# Each case: subcommand, config lines, the same values as command-line flags,
+# and one overriding flag per config key (a with_bound that reads true has
+# no flag to override it).  A relative custom:PATH in the config is read
+# from the config's directory, so its flag form names study/dirs.txt.
+_WORDS_TRUE = ("1", "true", "yes", "on", "TRUE", "On")
+_WORDS_FALSE = ("0", "false", "no", "off", "NO")
+_APPROX = "function = rosenbrock2\npoint = -0.9,0.81\nset = cmpb\nh = 1e-2\nf0 = 0.5\n"
+_APPROX_FLAGS = ("--function", "rosenbrock2", "--point=-0.9,0.81", "--set", "cmpb",
+                 "--h", "1e-2", "--f0", "0.5")
+_APPROX_OVERRIDES = {"function": ("--function", "quartic2"), "point": ("--point", "1.1,1.21001"),
+                     "set": ("--set", "rb"), "h": ("--h", "3e-3"), "f0": ("--f0", "2.5"),
+                     "with_bound": ("--with-bound",)}
+_CONFIG_CASES = [
+    *[("approx", _APPROX + f"with_bound = {w}\n", (*_APPROX_FLAGS, "--with-bound"),
+       {k: v for k, v in _APPROX_OVERRIDES.items() if k != "with_bound"})
+      for w in _WORDS_TRUE],
+    *[("approx", _APPROX + f"with_bound = {w}\n", _APPROX_FLAGS, _APPROX_OVERRIDES)
+      for w in _WORDS_FALSE],
+    ("approx", "function = rosenbrock2\npoint = 0.9,0.81\nh = 1e-3\nset = custom:dirs.txt\n",
+     ("--function", "rosenbrock2", "--point", "0.9,0.81", "--set", "custom:study/dirs.txt",
+      "--h", "1e-3"),
+     {"set": ("--set", "custom:other.txt"), "h": ("--h", "1e-1")}),
+    ("sweep", "function = rosenbrock2\npoint = 1.1,1.21001\nset = cb\nh-grid = 1e-1:1e-4:0.1\n"
+              "format = md\nwith_bound = false\n",
+     ("--function", "rosenbrock2", "--point", "1.1,1.21001", "--set", "cb",
+      "--h-grid", "1e-1:1e-4:0.1", "--format", "md"),
+     {"function": ("--function", "quartic2"), "point": ("--point=-0.9,0.81",),
+      "set": ("--set", "rmpb"), "h_grid": ("--h-grid", "2e-1:1e-3:0.2"),
+      "format": ("--format", "csv"), "with_bound": ("--with-bound",)}),
+    ("sweep", "function = expprod3\npoint = 3,2,1\nset = rb\nh_grid = 1e-1:1e-3:0.1\n"
+              "with_bound = yes\n",
+     ("--function", "expprod3", "--point", "3,2,1", "--set", "rb",
+      "--h-grid", "1e-1:1e-3:0.1", "--with-bound"),
+     {"format": ("--format", "md")}),
+    ("limit-study", "function = rosenbrock2\npoint = 1.1,1.21001\nset = rmpb\n",
+     ("--function", "rosenbrock2", "--point", "1.1,1.21001", "--set", "rmpb"),
+     {"function": ("--function", "quartic2"), "point": ("--point", "0.9,0.81"),
+      "set": ("--set", "cb"), "h_grid": ("--h-grid", "1e-1:1e-6:0.5"),
+      "format": ("--format", "md")}),
+]
+
+
+@pytest.mark.parametrize("command,config,flags,overrides", _CONFIG_CASES, ids=[
+    f"{c[0]}-{c[1].splitlines()[-1].replace(' ', '')}" for c in _CONFIG_CASES])
+def test_config_run_is_the_same_as_the_equivalent_flags(
+        command, config, flags, overrides, tmp_path, monkeypatch, capsys):
+    from cshd import cli
+
+    study = tmp_path / "study"
+    study.mkdir()
+    (study / "dirs.txt").write_text("2 3\n1 0 -1\n0 1 -1\n")
+    (tmp_path / "other.txt").write_text("2 2\n1 0\n0 1\n")
+    cfg = study / "run.cfg"
+    cfg.write_text(config)
+    monkeypatch.chdir(tmp_path)
+
+    def stdout(*argv):
+        assert cli.main([command, *argv]) == 0
+        return capsys.readouterr().out
+
+    by_config = stdout("--config", str(cfg))
+    assert by_config == stdout(*flags)
+    for key, flag in overrides.items():
+        overridden = stdout("--config", str(cfg), *flag)
+        assert overridden == stdout(*flags, *flag), key
+        assert overridden != by_config, key  # the explicit flag took effect
+
+
+@pytest.mark.parametrize("line,flag", [
+    ("h = abc", "--h"), ("h = ", "--h"), ("f0 = x", "--f0"), ("f0 =", "--f0"),
+    ("format = xml", "--format"), ("format = CSV", "--format"),
+])
+def test_malformed_config_value_gets_the_flags_own_error(line, flag, tmp_path, capsys):
+    from cshd import cli
+
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"function = rosenbrock2\npoint = 0.9,0.81\nset = cb\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["approx", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid" in captured.err
