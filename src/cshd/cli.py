@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, registry
-from .exceptions import BoundInapplicableError, DimensionError, ParameterError, StencilError
-from .report import FORMATS, ExperimentReport, fmt_point, summary_lines
-from .sets import SetKind, load_directions
+from .exceptions import BoundInapplicableError, ParameterError, StencilError
+from .report import FORMATS
+from .sets import SampleDirections, SetKind, load_directions
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -36,16 +36,16 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_set(text: str):
-    """Return (SetKind, custom SampleDirections or None)."""
+def _parse_set(text: str) -> SetKind | SampleDirections:
+    """A named set's kind, or the directions loaded for ``custom:PATH``."""
     low = text.strip().lower()
     if low.startswith("custom:"):
         path = text.strip()[len("custom:"):]
         if not path:
             raise ParameterError("custom set needs a path: --set custom:PATH")
-        return SetKind.CUSTOM, load_directions(path)
+        return load_directions(path)
     try:
-        return SetKind(low), None
+        return SetKind(low)
     except ValueError:
         raise ParameterError(
             f"unknown set {text!r}; expected cb, rb, cmpb, rmpb or custom:PATH"
@@ -175,15 +175,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _approx_text(result: experiments.ApproxResult, fmt: str) -> str:
-    b = result.bound
-    bound = {} if b is None else {f"bound_{k}": v for k, v in vars(b).items() if v is not None}
-    comments = summary_lines(g=fmt_point(result.gradient.value), d=fmt_point(result.diag.value),
-                             f0=result.stencil.f0, w_rank_deficient=result.diag.w_rank_deficient,
-                             **bound)
-    return ExperimentReport([result.row], comments).render(fmt)
-
-
 def _run(args: argparse.Namespace) -> int:
     if args.command == "reproduce":
         result = experiments.run_reproduce(args.target)
@@ -193,34 +184,22 @@ def _run(args: argparse.Namespace) -> int:
     _require(args, "function", "point", "set")
     func = registry.get(args.function)
     point = _parse_point(args.point)
-    kind, custom = _parse_set(args.set)
+    directions = _parse_set(args.set)
 
     if args.command == "approx":
-        if not (np.isfinite(args.h) and args.h > 0):
-            raise ParameterError(f"--h must be positive and finite, got {args.h}")
-        S = experiments.build_scaled_set(kind, func.dim, args.h, custom)
+        S = experiments.build_scaled_set(directions, func.dim, args.h)
         result = experiments.run_approx(
             func, point, S, h=args.h, with_bound=args.with_bound, known_f0=args.f0
         )
-        _emit(_approx_text(result, args.format), args.out)
-        return EXIT_OK
-
-    if args.command == "sweep":
+    elif args.command == "sweep":
         _require(args, "h_grid")
         hs = experiments.parse_h_grid(args.h_grid)
-        result = experiments.run_sweep(
-            func, point, kind, hs, custom=custom, with_bound=args.with_bound
-        )
-        _emit(result.report.render(args.format), args.out)
-        return EXIT_OK
-
-    if args.command == "limit-study":
+        result = experiments.run_sweep(func, point, directions, hs, with_bound=args.with_bound)
+    else:  # limit-study
         hs = experiments.parse_h_grid(args.h_grid) if args.h_grid else None
-        result = experiments.run_limit_study(func, point, kind, hs=hs, custom=custom)
-        _emit(result.report.render(args.format), args.out)
-        return EXIT_OK
-
-    raise ParameterError(f"unknown command {args.command!r}")
+        result = experiments.run_limit_study(func, point, directions, hs=hs)
+    _emit(result.report.render(args.format), args.out)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -235,7 +214,7 @@ def main(argv=None) -> int:
     except BoundInapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_INAPPLICABLE
-    except (ParameterError, DimensionError, StencilError, ValueError, OSError) as exc:
+    except (StencilError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

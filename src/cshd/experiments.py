@@ -54,15 +54,11 @@ PLATEAU_WINDOW = (1e-4, 1e-2)
 NONMONOTONE_FACTOR = 1.1
 
 
-def build_scaled_set(
-    kind: SetKind, n: int, h: float, custom: SampleDirections | None = None
-) -> SampleDirections:
-    """A named set built at scale h, or the custom matrix scaled by h."""
-    if kind is SetKind.CUSTOM:
-        if custom is None:
-            raise ParameterError("a custom direction matrix is required for kind=custom")
-        return custom.scaled(h) if h != 1.0 else custom
-    return build_set(kind, n, h)
+def build_scaled_set(directions: SetKind | SampleDirections, n: int, h: float) -> SampleDirections:
+    """A named set built in R^n at scale h, or the given set scaled by h."""
+    if isinstance(directions, SampleDirections):
+        return directions.scaled(h) if h != 1.0 else directions
+    return build_set(directions, n, h)
 
 
 def parse_h_grid(spec: str) -> np.ndarray:
@@ -95,6 +91,16 @@ class ApproxResult:
     bound: BoundBreakdown | None = None
     objective: object = None  # the counting Objective that was evaluated
 
+    @property
+    def report(self) -> ExperimentReport:
+        """The row, with the estimates g and d, f0, the rank flag and any
+        bound fields as summary lines; built on each read."""
+        b = self.bound
+        bound = {} if b is None else {f"bound_{k}": v for k, v in vars(b).items() if v is not None}
+        return ExperimentReport([self.row], summary_lines(
+            g=fmt_point(self.gradient.value), d=fmt_point(self.diag.value), f0=self.stencil.f0,
+            w_rank_deficient=self.diag.w_rank_deficient, **bound))
+
 
 def _certified_lipschitz(func: RegistryFunction, point: np.ndarray, radius: float) -> float:
     if func.lipschitz_d3 is None:
@@ -118,12 +124,11 @@ class _RowBuilder:
     scale-invariant cross term.
     """
 
-    def __init__(self, func: RegistryFunction, point: np.ndarray, set_name: str,
-                 unit: SampleDirections, with_bound: bool):
+    def __init__(self, func: RegistryFunction, point: np.ndarray, unit: SampleDirections,
+                 with_bound: bool):
         self.func = func
         self.point = point
         self.label = fmt_point(point)
-        self.set_name = set_name
         self.plan = StencilPlan(unit)
         self.truth_grad = func.gradient(point)
         self.truth_diag = func.diag_hessian(point)
@@ -148,13 +153,14 @@ class _RowBuilder:
             bounds = [plan_error_bound(self.plan, r, lip, self.cross) for r, lip in zip(radii, lips)]
         abs_diag = np.linalg.norm(d - self.truth_diag, axis=1).tolist()
         err_grad = np.linalg.norm(g - self.truth_grad, axis=1).tolist()
-        evals = [2 * self.plan.directions.k] * len(radii)
+        unit = self.plan.directions
+        evals = [2 * unit.k] * len(radii)
         evals[0] += int(known_f0 is None)
         rows = [
             ReportRow(
                 function=self.func.name,
                 point=self.label,
-                set=self.set_name,
+                set=unit.kind.value,
                 h=h,
                 delta_s=r,
                 rer_diag=a / self.diag_norm if self.diag_norm > 0.0 else None,
@@ -183,25 +189,19 @@ def run_approx(
     ``h`` only labels the row: S is used as given."""
     point = _checked_point(func, point)
     obj = func.objective()
-    builder = _RowBuilder(func, point, S.kind.value, S, with_bound)
+    builder = _RowBuilder(func, point, S, with_bound)
     rows, g, d, stencil, bounds = builder.rows(obj, [1.0], [S.radius], known_f0)
     grad = GradientEstimate(g[0], S, point)
     diag = DiagHessianEstimate(d[0], S, point, w_rank_deficient=builder.plan.w_rank_deficient)
     return ApproxResult(grad, diag, stencil.single(), replace(rows[0], h=h), bounds[0], obj)
 
 
-def _grid_rows(
-    func: RegistryFunction,
-    point: np.ndarray,
-    kind: SetKind,
-    hs: np.ndarray,
-    custom: SampleDirections | None,
-    with_bound: bool,
-):
+def _grid_rows(func: RegistryFunction, point: np.ndarray, directions: SetKind | SampleDirections,
+               hs: np.ndarray, with_bound: bool):
     """Rows for a descending-h grid over one factored unit-scale set: f(x0)
     once, then every stencil point of every h as one array."""
-    unit = build_scaled_set(kind, func.dim, 1.0, custom)
-    builder = _RowBuilder(func, point, kind.value, unit, with_bound)
+    unit = build_scaled_set(directions, func.dim, 1.0)
+    builder = _RowBuilder(func, point, unit, with_bound)
     obj = func.objective()
     f0 = float(obj.values(point[np.newaxis], lambda r: "x0")[0])
     # Every h gets its own validated set; its radius is the row's delta_s.
@@ -240,19 +240,15 @@ class SweepResult:
     best_metric: float
 
 
-def run_sweep(
-    func: RegistryFunction,
-    point,
-    kind: SetKind,
-    hs,
-    custom: SampleDirections | None = None,
-    with_bound: bool = False,
-) -> SweepResult:
+def run_sweep(func: RegistryFunction, point, directions: SetKind | SampleDirections, hs,
+              with_bound: bool = False) -> SweepResult:
     """Approximate over a descending h grid, fit the convergence order on the
-    truncation-dominated rows, and locate the grid minimum of the error."""
+    truncation-dominated rows, and locate the grid minimum of the error.
+
+    ``directions`` is a named set, built in R^n, or a set scaled by each h."""
     point = _checked_point(func, point)
     hs = _descending_grid(hs)
-    rows, abs_errs, f0, truth_norm = _grid_rows(func, point, kind, hs, custom, with_bound)
+    rows, abs_errs, f0, truth_norm = _grid_rows(func, point, directions, hs, with_bound)
 
     # Keep rows whose error is credibly truncation (above the round-off
     # floor eps*|f0| / delta^2 and above noise relative to the truth).
@@ -277,19 +273,15 @@ class LimitStudyResult:
     nonmonotone: bool
 
 
-def run_limit_study(
-    func: RegistryFunction,
-    point,
-    kind: SetKind,
-    hs=None,
-    custom: SampleDirections | None = None,
-) -> LimitStudyResult:
+def run_limit_study(func: RegistryFunction, point, directions: SetKind | SampleDirections,
+                    hs=None) -> LimitStudyResult:
     """Estimate the small-h limit of the relative error as the median over
     the plateau window, report the grid infimum, and flag non-monotone
-    behavior (error growing again as h shrinks past the grid minimum)."""
+    behavior (error growing again as h shrinks past the grid minimum).
+    ``directions`` is taken as in :func:`run_sweep`."""
     point = _checked_point(func, point)
     hs = DEFAULT_LIMIT_GRID if hs is None else _descending_grid(hs)
-    rows, _, _, _ = _grid_rows(func, point, kind, hs, custom, with_bound=False)
+    rows, _, _, _ = _grid_rows(func, point, directions, hs, with_bound=False)
     metrics = np.array([_metric(r) for r in rows])
 
     lo, hi = PLATEAU_WINDOW

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, ParameterError
 
 __all__ = [
     "as_matrix",
@@ -48,7 +48,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
+        raise ParameterError(f"{name} contains NaN or infinite entries")
     return arr
 
 
@@ -58,7 +58,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
+        raise ParameterError(f"{name} contains NaN or infinite entries")
     return arr
 
 

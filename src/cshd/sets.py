@@ -44,6 +44,13 @@ CUSTOM_ZERO_TOL = 1e-14
 _MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
+def _checked_scale(h: float) -> float:
+    """h itself, once it is known to be a positive, finite scale."""
+    if not (np.isfinite(h) and h > 0):
+        raise ParameterError(f"scale h must be positive and finite, got {h}")
+    return h
+
+
 @dataclass(frozen=True)
 class SampleDirections:
     """An n x k matrix whose columns are the nonzero, pairwise distinct
@@ -99,9 +106,7 @@ class SampleDirections:
 
     def scaled(self, h: float) -> "SampleDirections":
         """The same directions multiplied by a positive factor h."""
-        if not (np.isfinite(h) and h > 0):
-            raise ParameterError(f"scale factor must be positive and finite, got {h}")
-        return SampleDirections(h * self.matrix, self.kind)
+        return SampleDirections(_checked_scale(h) * self.matrix, self.kind)
 
 
 def regular_basis(n: int) -> np.ndarray:
@@ -114,9 +119,7 @@ def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
     """Construct one of the named direction sets in R^n, scaled by h > 0."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"dimension n must be a positive integer, got {n!r}")
-    if not (np.isfinite(h) and h > 0):
-        raise ParameterError(f"scale h must be positive and finite, got {h!r}")
-    n = int(n)
+    h, n = _checked_scale(h), int(n)
     if kind is SetKind.CB:
         m = np.eye(n)
     elif kind is SetKind.RB:
@@ -130,7 +133,7 @@ def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
         # column exactly constant, which rounding each row's sum would not.
         m = np.hstack([rb, np.full((n, 1), -rb[0].sum())])
     else:
-        raise ParameterError("custom sets are loaded from a file or built from an explicit matrix")
+        raise ParameterError("a custom direction matrix is required for kind=custom")
     return SampleDirections(h * m, kind)
 
 

@@ -7,8 +7,8 @@ import pytest
 from cshd import experiments
 from cshd.exceptions import ParameterError
 from cshd.registry import get
-from cshd.report import ExperimentReport
-from cshd.sets import SetKind
+from cshd.report import FORMATS, ExperimentReport
+from cshd.sets import SetKind, build_set
 
 
 def run_cli(*args, **kw):
@@ -80,6 +80,38 @@ def test_approx_rejects_a_scale_whose_squares_underflow():
     )
     assert res.returncode == 2
     assert "too small: its squares underflow" in res.stderr
+
+
+@pytest.mark.parametrize("h", ["-1", "0", "nan", "inf"])
+def test_bad_h_gets_the_library_scale_message(h, tmp_path, capsys):
+    from cshd import cli
+
+    path = tmp_path / "dirs.txt"
+    path.write_text("2 3\n1 0 -1\n0 1 -1\n")
+    for set_arg in ("cb", "rmpb", f"custom:{path}"):
+        argv = ["approx", "--function", "rosenbrock2", "--point", "0.9,0.81", "--set", set_arg]
+        assert cli.main([*argv, "--h", h]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scale h must be positive and finite, got {float(h)}\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("with_bound", [False, True], ids=["plain", "with-bound"])
+@pytest.mark.parametrize("set_name", ["cb", "cmpb"])  # lonely, not lonely
+def test_approx_prints_the_results_report(set_name, with_bound, fmt, capsys):
+    from cshd import cli
+
+    argv = ["approx", "--function", "rosenbrock2", "--point", "1.1,1.21001", "--set", set_name,
+            "--h", "1e-2", "--format", fmt] + ["--with-bound"] * with_bound
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    result = experiments.run_approx(get("rosenbrock2"), np.array([1.1, 1.21001]),
+                                    build_set(SetKind(set_name), 2, 1e-2), h=1e-2,
+                                    with_bound=with_bound)
+    assert result.report.render(fmt) == out
+    assert ("bound_total=" in out) == with_bound
+    assert ("bound_corollary_total=" in out) == (with_bound and set_name == "cb")
 
 
 def test_exit_code_bound_inapplicable(tmp_path):

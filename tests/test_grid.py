@@ -6,6 +6,7 @@ plateau and the duplicate-h test no longer load ``numpy.ma``.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from cshd import experiments as ex
 from cshd.calculus import StencilPlan, evaluate_stencil, evaluate_stencils
 from cshd.exceptions import ParameterError, StencilError
 from cshd.registry import get
+from cshd.report import FORMATS
 from cshd.sets import SampleDirections, SetKind, build_set
 
 from helpers import CountedFunction, random_conditioned
@@ -46,14 +48,17 @@ def test_sweep_rows_equal_single_set_rows(n, kind, hs, seed):
     func = get("rosenbrock2" if n == 2 else "expprod3")
     rng = np.random.default_rng(seed)
     point = rng.uniform(-BOX[n], BOX[n], n)
-    custom = SampleDirections(random_conditioned(rng, n, n + 1)) if kind is SetKind.CUSTOM else None
-    sweep = ex.run_sweep(func, point, kind, hs, custom=custom, with_bound=True)
+    if kind is SetKind.CUSTOM:
+        directions = SampleDirections(random_conditioned(rng, n, n + 1))
+    else:
+        directions = kind
+    sweep = ex.run_sweep(func, point, directions, hs, with_bound=True)
     rows = sweep.report.rows
     assert [r.h for r in rows] == sorted(hs, reverse=True)
     f0 = func.fn(point)
     diag_norm = float(np.linalg.norm(func.diag_hessian(point)))
     for row in rows:
-        S = ex.build_scaled_set(kind, n, row.h, custom)
+        S = ex.build_scaled_set(directions, n, row.h)
         # The sweep evaluates f(x0) once for all rows, so the single-set run
         # is given the same f0 and its row counts the same 2k evaluations.
         one = ex.run_approx(func, point, S, h=row.h, with_bound=True, known_f0=f0).row
@@ -87,8 +92,11 @@ def test_grid_failure_names_minus_point_and_counts(study):
     hs = 10.0 ** np.arange(0.0, -4.01, -0.25)
     point = np.array([0.9, 0.81])
     for trial, kind in enumerate(KINDS * 2):
-        custom = SampleDirections(random_conditioned(rng, 2, 3)) if kind is SetKind.CUSTOM else None
-        unit = ex.build_scaled_set(kind, 2, 1.0, custom)
+        if kind is SetKind.CUSTOM:
+            directions = SampleDirections(random_conditioned(rng, 2, 3))
+        else:
+            directions = kind
+        unit = ex.build_scaled_set(directions, 2, 1.0)
         k = unit.k
         j = int(rng.integers(hs.size))
         i = int(rng.integers(1, k + 1))
@@ -98,9 +106,9 @@ def test_grid_failure_names_minus_point_and_counts(study):
         match = "evaluation failed" if raises else "non-finite value nan"
         with pytest.raises(StencilError, match=f"{match} at x0 - s{i} = "):
             if study == "sweep":
-                ex.run_sweep(func, point, kind, hs, custom=custom, with_bound=True)
+                ex.run_sweep(func, point, directions, hs, with_bound=True)
             else:
-                ex.run_limit_study(func, point, kind, hs=hs, custom=custom)
+                ex.run_limit_study(func, point, directions, hs=hs)
         (obj,) = func.issued
         assert obj.evals == 1 + 2 * k * j + k + i
 
@@ -129,7 +137,36 @@ def test_sweep_names_the_h_that_underflows():
     cases = (([1e-2, 1e-150, 1e-165], "1e-165"), ([1e-166, 1e-2, 1e-164, 1e-170], "1e-164"))
     for hs, named in cases:
         with pytest.raises(ParameterError, match=rf"^scale h={named} is too small"):
-            ex.run_sweep(func, point, SetKind.CUSTOM, hs, custom=big, with_bound=True)
+            ex.run_sweep(func, point, big, hs, with_bound=True)
+
+
+@pytest.mark.parametrize("kind", KINDS[:4], ids=lambda kind: kind.value)
+def test_a_unit_set_is_the_same_argument_as_its_kind(kind):
+    # A study takes one set argument: a named kind, or a set it scales by h.
+    func = get("expprod3")
+    point = np.array([3.0, 2.0, 1.0])
+    unit = build_set(kind, 3, 1.0)
+    hs = 10.0 ** np.arange(-1.0, -4.01, -0.5)
+    studies = (lambda d: ex.run_sweep(func, point, d, hs, with_bound=True),
+               lambda d: ex.run_limit_study(func, point, d))
+    for study in studies:
+        by_kind, by_set = study(kind), study(unit)
+        for fmt in FORMATS:
+            assert by_set.report.render(fmt) == by_kind.report.render(fmt)
+
+
+def test_custom_kind_without_a_matrix_gets_build_sets_error():
+    func = get("rosenbrock2")
+    point = np.array([0.9, 0.81])
+    with pytest.raises(ParameterError) as built:
+        build_set(SetKind.CUSTOM, 2, 1.0)
+    text = rf"^{re.escape(str(built.value))}$"
+    with pytest.raises(ParameterError, match=text):
+        ex.build_scaled_set(SetKind.CUSTOM, 2, 0.5)
+    with pytest.raises(ParameterError, match=text):
+        ex.run_sweep(func, point, SetKind.CUSTOM, [1e-1, 1e-2, 1e-3])
+    with pytest.raises(ParameterError, match=text):
+        ex.run_limit_study(func, point, SetKind.CUSTOM)
 
 
 def test_duplicate_h_rejected_with_the_same_text():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cshd.exceptions import DimensionError
-from cshd.linalg import pseudoinverse, svd_rank
+from cshd.exceptions import DimensionError, ParameterError
+from cshd.linalg import as_matrix, as_vector, pseudoinverse, svd_rank
 
 from helpers import random_conditioned
 
@@ -66,6 +66,14 @@ def test_pinv_rejects_nonfinite():
         pseudoinverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         pseudoinverse(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_a_parameter_error(bad):
+    with pytest.raises(ParameterError, match="^matrix contains NaN or infinite entries$"):
+        as_matrix([[1.0, bad]])
+    with pytest.raises(ParameterError, match="^vector contains NaN or infinite entries$"):
+        as_vector([bad, 1.0])
 
 
 def test_svd_rank():

@@ -125,13 +125,13 @@ def test_grid_studies_use_exact_evaluations():
     custom = SampleDirections(random_conditioned(rng, 3, 5))
     x0 = rng.standard_normal(3)
     hs = 10.0 ** np.arange(0.0, -4.01, -0.25)
-    for kind, S, k in ((SetKind.CMPB, None, 4), (SetKind.CUSTOM, custom, 5)):
+    for directions, k in ((SetKind.CMPB, 4), (custom, 5)):
         func.issued.clear()
-        sweep = ex.run_sweep(func, x0, kind, hs, custom=S, with_bound=True)
+        sweep = ex.run_sweep(func, x0, directions, hs, with_bound=True)
         assert sum(o.evals for o in func.issued) == 2 * k * hs.size + 1
         assert len(sweep.report.rows) == hs.size
         func.issued.clear()
-        ex.run_limit_study(func, x0, kind, hs=hs, custom=S)
+        ex.run_limit_study(func, x0, directions, hs=hs)
         assert sum(o.evals for o in func.issued) == 2 * k * hs.size + 1
 
 

@@ -135,6 +135,17 @@ def test_build_set_rejects_bad_parameters():
         build_set(SetKind.CUSTOM, 2, 1.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_build_set_and_scaled_share_one_scale_check(h):
+    text = rf"^scale h must be positive and finite, got {re.escape(str(h))}$"
+    with pytest.raises(ParameterError, match=text):
+        build_set(SetKind.RB, 2, h)
+    with pytest.raises(ParameterError, match=text):
+        build_set(SetKind.CB, 2, 1.0).scaled(h)
+    with pytest.raises(ParameterError, match=text):
+        SampleDirections(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])).scaled(h)
+
+
 def test_directions_reject_zero_and_duplicate_columns():
     with pytest.raises(ParameterError):
         SampleDirections(np.array([[1.0, 0.0], [0.0, 0.0]]))
