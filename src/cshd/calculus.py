@@ -13,6 +13,7 @@ h of it through the exact identities ``pinv((hS)^T) = pinv(S^T) / h`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError, StencilError
-from .linalg import PinvFactors, as_vector, pinv_factors
+from .linalg import PinvFactors, as_vector, pinv_factors, svd_rank
 from .sets import SampleDirections
 
 __all__ = [
@@ -227,10 +228,10 @@ class StencilPlan:
     would cost most of what the route saves over the SVD.  ``w_rank`` is the
     numerical rank of W and ``w_sigma_min`` the n-th singular value of the
     radius-normalized W~ = W / radius^2 (0 when W has fewer than n
-    columns).  ``s_cond`` is the condition number sigma_max / sigma_min of
-    S, infinite when S lacks full row rank.  All of them are fixed
-    linear-algebra facts of S; only the stencil values and the factors 1/h
-    and 1/h^2 change with the scale.
+    columns; on the QR route a certified lower bound, so the error bound
+    can only round up).  These and ``s_cond`` are fixed linear-algebra
+    facts of S; only the stencil values and the factors 1/h and 1/h^2
+    change with the scale.
     """
 
     directions: SampleDirections
@@ -238,24 +239,26 @@ class StencilPlan:
     w_factors: PinvFactors = field(init=False, repr=False)
     w_rank: int = field(init=False)
     w_sigma_min: float = field(init=False)
-    s_cond: float = field(init=False)
     is_lonely: bool = field(init=False)
 
     def __post_init__(self):
         S = self.directions
         s = pinv_factors(S.matrix)
-        s_cond = float(s.singular_values[0] / s.singular_values[-1]) if s.rank == S.n else math.inf
         w = pinv_factors(S.squared())
-        sigma_n = float(w.singular_values[S.n - 1]) if S.k >= S.n else 0.0
         for a in (s.pinv, w.pinv, *(s.qr or ()), *(w.qr or ())):
             if a is not None:
                 a.flags.writeable = False
         object.__setattr__(self, "s_factors", s)
         object.__setattr__(self, "w_factors", w)
         object.__setattr__(self, "w_rank", w.rank)
-        object.__setattr__(self, "w_sigma_min", sigma_n / S.radius**2)
-        object.__setattr__(self, "s_cond", s_cond)
+        object.__setattr__(self, "w_sigma_min", w.sigma_n() / S.radius**2)
         object.__setattr__(self, "is_lonely", S.is_lonely())
+
+    @functools.cached_property
+    def s_cond(self) -> float:
+        """sigma_max / sigma_min of S (inf below full row rank), by an SVD run when read."""
+        s, rank = svd_rank(self.directions.matrix)
+        return float(s[0] / s[-1]) if rank == self.directions.n else math.inf
 
     @property
     def w_rank_deficient(self) -> bool:

@@ -89,7 +89,7 @@ def _config_relative_set(value: str, config_dir: Path) -> str:
 
 def _config_argv(args: argparse.Namespace) -> list[str]:
     """The config file's lines as the flags they name: ``key = value`` is
-    ``--key=value`` and ``with_bound`` is ``--with-bound`` or nothing."""
+    ``--key=value`` and ``with_bound`` is ``--with-bound`` or ``--no-with-bound``."""
     cfg = _load_config(args.config)
     if "set" in cfg:
         cfg["set"] = _config_relative_set(cfg["set"], Path(args.config).parent)
@@ -97,13 +97,11 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
     for key, value in cfg.items():
         if not hasattr(args, key):
             raise ParameterError(f"{args.config}: key {key!r} does not apply to {args.command}")
-        if key != "with_bound":
-            flags.append(f"--{key.replace('_', '-')}={value}")
-        elif value.lower() in _TRUE:
-            flags.append("--with-bound")
-        elif value.lower() not in _FALSE:
+        if key == "with_bound" and value.lower() not in _TRUE + _FALSE:
             raise ParameterError(
                 f"config with_bound must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}" if key != "with_bound"
+                     else "--with-bound" if value.lower() in _TRUE else "--no-with-bound")
     return flags
 
 
@@ -143,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--h", type=float, default=1.0,
                           help="scale of the direction set (default 1)")
     p_approx.add_argument("--f0", type=float, help="known value of f at the point (saves one evaluation)")
-    p_approx.add_argument("--with-bound", dest="with_bound", action="store_true",
+    p_approx.add_argument("--with-bound", action=argparse.BooleanOptionalAction, default=False,
                           help="also evaluate the error-bound breakdown")
 
     p_sweep = sub.add_parser("sweep", help="approximation errors over an h grid with an order fit")
     common(p_sweep, need_h_grid=True)
-    p_sweep.add_argument("--with-bound", dest="with_bound", action="store_true",
+    p_sweep.add_argument("--with-bound", action=argparse.BooleanOptionalAction, default=False,
                          help="fill the bound columns for every row")
 
     p_limit = sub.add_parser("limit-study", help="small-h limit estimate, grid infimum, monotonicity check")

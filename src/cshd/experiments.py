@@ -131,10 +131,11 @@ class _RowBuilder:
         self.label = fmt_point(point)
         self.plan = StencilPlan(unit)
         self.truth_grad = func.gradient(point)
-        self.truth_diag = func.diag_hessian(point)
+        hess = func.hessian(point)
+        self.truth_diag = np.diag(hess).copy()
         self.grad_norm = float(np.linalg.norm(self.truth_grad))
         self.diag_norm = float(np.linalg.norm(self.truth_diag))
-        self.cross = 2.0 * cross_term_sum(unit, func.hessian(point)) if with_bound else None
+        self.cross = 2.0 * cross_term_sum(unit, hess) if with_bound else None
 
     def rows(self, obj, hs, radii: list[float], known_f0: float | None):
         """Evaluate the stencils over ``hs[j] * unit`` as one array and build

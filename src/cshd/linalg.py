@@ -7,15 +7,15 @@ The pseudoinverse is factored by the first of three routes that applies:
   sets and their squares: an n x n matrix with one value on the diagonal
   and one off it, optionally followed by a constant column;
 * a QR factorization A^T = q r, for any other n x k matrix with k >= n,
-  with the singular values of the triangle r (they are those of A);
+  with the explicit inverse x = r^-1, so that pinv(A^T) = x q^T;
 * one SVD with U and V, for everything else.
 
 The first two apply only when every one of the n singular values lies above
 the cutoff, so the SVD decides every rank-deficient matrix and the cutoff
-stays the only rank rule.  The QR route leaves the pseudoinverse unformed:
-applying pinv(A^T) = r^-1 q^T to stencil data is a product with q^T and a
-triangular solve, while forming pinv(A) would cost most of what the route
-saves over the SVD.
+stays the only rank rule.  The QR route takes full rank as certain when
+kappa_F = ||r||_F ||x||_F >= sigma_max / sigma_n is below 1 / sqrt(max(n, k)
+eps), the square root of the cutoff's margin; otherwise the singular values
+of r decide.
 
 Everything operates on plain numpy arrays.  Inputs are validated once at the
 boundary (finite entries, expected dimensionality); all functions are pure.
@@ -62,39 +62,71 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _svd_cutoff(shape: tuple[int, int], singular_values: np.ndarray) -> float:
+def _svd_cutoff(shape: tuple[int, int], smax: float) -> float:
     # Rank cutoff max(n, k) * sigma_max * eps, the usual SVD truncation rule.
-    smax = float(singular_values[0]) if singular_values.size else 0.0
     return max(shape) * _EPS * smax
+
+
+def _invert_upper(r: np.ndarray) -> np.ndarray:
+    # inv([[a, b], [0, c]]) = [[ai, -ai b ci], [0, ci]]: matrix products, with
+    # np.linalg.inv (a general LU) only on blocks of at most 32 rows.
+    n = r.shape[0]
+    if n <= 32:
+        return np.linalg.inv(r)
+    m = n // 2
+    ai, ci = _invert_upper(r[:m, :m]), _invert_upper(r[m:, m:])
+    return np.block([[ai, -(ai @ r[:m, m:]) @ ci], [np.zeros((n - m, m)), ci]])
 
 
 class PinvFactors(NamedTuple):
     """The factors of pinv(A) for an n x k matrix A.
 
-    ``pinv`` is pinv(A) itself on the closed-form and SVD routes.  On the QR
-    route it is None and ``qr`` holds ``(q, r)`` with A^T = q r, q k x n with
-    orthonormal columns and r n x n upper triangular and nonsingular, so
-    pinv(A) = q r^-T.
+    ``pinv`` is pinv(A) itself on the closed-form and SVD routes, and
+    ``sigma`` the n-th singular value of A there (0 when k < n).  On the QR
+    route both are None and ``qr`` holds ``(q, x)``: A^T = q r with q
+    orthonormal and r upper triangular, and x = r^-1, so pinv(A) = q x^T.
     """
 
     pinv: np.ndarray | None
-    singular_values: np.ndarray  # descending
     rank: int                    # singular values above the cutoff
+    sigma: float | None = None
     qr: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """``rows @ pinv(A)`` for an (m, k) array: pinv(A^T) applied to every row."""
         if self.qr is None:
             return rows @ self.pinv
-        q, r = self.qr
-        return np.linalg.solve(r, q.T @ rows.T).T
+        q, x = self.qr
+        return (rows @ q) @ x.T
 
     def pseudoinverse(self) -> np.ndarray:
         """pinv(A), formed from the QR factors if it is not kept."""
         if self.qr is None:
             return self.pinv
-        q, r = self.qr
-        return np.linalg.solve(r, q.T).T
+        q, x = self.qr
+        return q @ x.T
+
+    def sigma_n(self) -> float:
+        """sigma_n(A), 0 when k < n; on the QR route a lower bound within 1e-13
+        of it, relative, or 1 / sigma_1(x) when 40 power steps certify nothing."""
+        if self.qr is None:
+            return self.sigma
+        _, x = self.qr
+        # Power iteration on M = x^T x, whose largest eigenvalue is 1 / sigma_n^2.
+        # For a unit v, theta = v^T M v <= lambda_1 and, as the eigenvalues sum
+        # to ||x||_F^2, lambda_2 <= eta = ||x||_F^2 - theta.  When theta > eta,
+        # Kato-Temple bounds lambda_1 by theta + rho^2 / (theta - eta), rho = ||M v - theta v||.
+        with np.errstate(all="ignore"):  # x may overflow here; the SVD then decides
+            trace = float(np.vdot(x, x))
+            u = x[np.argmax(np.einsum("ij,ij->i", x, x))]  # the longest row of x
+            for _ in range(40):
+                v = u / np.linalg.norm(u)
+                w = x @ v
+                theta, u = float(w @ w), x.T @ w
+                rho, gap = float(np.linalg.norm(u - theta * v)), 2.0 * theta - trace
+                if gap > 0.0 and rho * rho <= 1e-13 * theta * gap:
+                    return 1.0 / np.sqrt(theta + rho * rho / gap)
+        return 1.0 / float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
@@ -106,21 +138,20 @@ def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
         return None
     d, b = float(A[0, 0]), float(A[1, 0])
     c = float(A[0, n]) if k > n else 0.0
-    pattern = np.full((n, k), b)
-    np.fill_diagonal(pattern, d)
-    if k > n:
-        pattern[:, n] = c
-    if not np.array_equal(A, pattern):
+    # Through views of A: the off-diagonal entries are b when n (n - 1) are, besides the diagonal.
+    square, diagonal = A[:, :n], np.diagonal(A)
+    if not ((diagonal == d).all() and (k == n or (A[:, n] == c).all())
+            and np.count_nonzero(square == b) == n * (n - 1) + n * (d == b)):
         return None
     q = d - b
     r = q + n * b
     p, big = q * q, r * r + n * c * c
-    s = np.sqrt(np.sort(np.append(np.full(n - 1, p), big))[::-1])
-    if not (min(p, big) >= _TINY and s[-1] > _svd_cutoff(A.shape, s)):
+    lo, hi = sorted((p, big))
+    if not (lo >= _TINY and np.sqrt(lo) > _svd_cutoff(A.shape, np.sqrt(hi))):
         return None  # rank deficient, or p or big not a normal double: the SVD decides
     pinv = A - ((big - p) / n / big) * A.sum(axis=0)
     pinv /= p
-    return PinvFactors(pinv.T, s, n)
+    return PinvFactors(pinv.T, n, float(np.sqrt(lo)))
 
 
 def _qr_factors(A: np.ndarray) -> PinvFactors | None:
@@ -129,14 +160,20 @@ def _qr_factors(A: np.ndarray) -> PinvFactors | None:
     if k < n:
         return None
     q, r = np.linalg.qr(A.T)
-    s = np.linalg.svd(r, compute_uv=False)
-    if not s[-1] > _svd_cutoff(A.shape, s):
-        return None  # rank deficient: the SVD decides
-    return PinvFactors(None, s, n, (q, r))
+    if not r.diagonal().all():
+        return None  # r is singular: the SVD decides
+    with np.errstate(all="ignore"):
+        x = _invert_upper(r)
+        kappa_f = float(np.linalg.norm(r) * np.linalg.norm(x))
+    if not kappa_f * np.sqrt(max(n, k) * _EPS) < 1.0:
+        s = np.linalg.svd(r, compute_uv=False)
+        if not (s[-1] > _svd_cutoff(A.shape, s[0]) and np.isfinite(x).all()):
+            return None  # rank deficient, or r^-1 out of range: the SVD decides
+    return PinvFactors(None, n, None, (q, x))
 
 
 def pinv_factors(A) -> PinvFactors:
-    """Factors of the pseudoinverse, singular values and numerical rank of *A*.
+    """Factors of the pseudoinverse of *A*, its numerical rank and sigma_n.
 
     Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
     as zero, so rank-deficient input yields the least-squares /
@@ -150,10 +187,11 @@ def pinv_factors(A) -> PinvFactors:
     if factors is not None:
         return factors
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > _svd_cutoff(A.shape, s)
+    keep = s > _svd_cutoff(A.shape, s[0])
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return PinvFactors((vt.T * inv) @ u.T, s, int(np.count_nonzero(keep)))
+    sigma_n = float(s[-1]) if s.size == A.shape[0] else 0.0
+    return PinvFactors((vt.T * inv) @ u.T, int(np.count_nonzero(keep)), sigma_n)
 
 
 def pseudoinverse(A) -> np.ndarray:
@@ -167,4 +205,4 @@ def svd_rank(A) -> tuple[np.ndarray, int]:
     :func:`pseudoinverse`)."""
     A = as_matrix(A)
     s = np.linalg.svd(A, compute_uv=False)
-    return s, int(np.count_nonzero(s > _svd_cutoff(A.shape, s)))
+    return s, int(np.count_nonzero(s > _svd_cutoff(A.shape, s[0])))

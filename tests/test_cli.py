@@ -311,6 +311,22 @@ def test_config_with_bound_accepts_only_booleans(tmp_path, capsys):
         assert repr(value) in captured.err
 
 
+@pytest.mark.parametrize("command,grid", [("approx", "--h=1e-2"), ("sweep", "--h-grid=1e-1:1e-3:0.1")])
+def test_no_with_bound_overrides_a_true_config_value(command, grid, tmp_path, capsys):
+    from cshd import cli
+
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("function = rosenbrock2\npoint = 0.9,0.81\nset = cb\nwith_bound = yes\n")
+    outputs = {}
+    for flags in ((), ("--no-with-bound",)):
+        assert cli.main([command, "--config", str(cfg), grid, *flags]) == 0
+        outputs[flags] = ExperimentReport.from_csv(capsys.readouterr().out)
+    assert all(r.bound_total is not None for r in outputs[()].rows)
+    assert all(r.bound_total is None and r.bound_cross is None
+               for r in outputs[("--no-with-bound",)].rows)
+    assert "bound_total" not in outputs[("--no-with-bound",)].summary()
+
+
 def test_config_keys_must_apply_to_the_subcommand(tmp_path, capsys):
     from cshd import cli
 
@@ -348,9 +364,9 @@ def test_config_rejects_a_duplicate_key(tmp_path, capsys):
 
 
 # Each case: subcommand, config lines, the same values as command-line flags,
-# and one overriding flag per config key (a with_bound that reads true has
-# no flag to override it).  A relative custom:PATH in the config is read
-# from the config's directory, so its flag form names study/dirs.txt.
+# and one overriding flag per config key.  A relative custom:PATH in the
+# config is read from the config's directory, so its flag form names
+# study/dirs.txt.
 _WORDS_TRUE = ("1", "true", "yes", "on", "TRUE", "On")
 _WORDS_FALSE = ("0", "false", "no", "off", "NO")
 _APPROX = "function = rosenbrock2\npoint = -0.9,0.81\nset = cmpb\nh = 1e-2\nf0 = 0.5\n"
@@ -361,7 +377,7 @@ _APPROX_OVERRIDES = {"function": ("--function", "quartic2"), "point": ("--point"
                      "with_bound": ("--with-bound",)}
 _CONFIG_CASES = [
     *[("approx", _APPROX + f"with_bound = {w}\n", (*_APPROX_FLAGS, "--with-bound"),
-       {k: v for k, v in _APPROX_OVERRIDES.items() if k != "with_bound"})
+       {**_APPROX_OVERRIDES, "with_bound": ("--no-with-bound",)})
       for w in _WORDS_TRUE],
     *[("approx", _APPROX + f"with_bound = {w}\n", _APPROX_FLAGS, _APPROX_OVERRIDES)
       for w in _WORDS_FALSE],
@@ -380,7 +396,7 @@ _CONFIG_CASES = [
               "with_bound = yes\n",
      ("--function", "expprod3", "--point", "3,2,1", "--set", "rb",
       "--h-grid", "1e-1:1e-3:0.1", "--with-bound"),
-     {"format": ("--format", "md")}),
+     {"format": ("--format", "md"), "with_bound": ("--no-with-bound",)}),
     ("limit-study", "function = rosenbrock2\npoint = 1.1,1.21001\nset = rmpb\n",
      ("--function", "rosenbrock2", "--point", "1.1,1.21001", "--set", "rmpb"),
      {"function": ("--function", "quartic2"), "point": ("--point", "0.9,0.81"),

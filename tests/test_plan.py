@@ -136,10 +136,10 @@ def test_grid_studies_use_exact_evaluations():
 
 
 def _matches_numpy(A, factors):
-    """Pseudoinverse, singular values and full rank agree with numpy's SVD."""
+    """Pseudoinverse, n-th singular value and full rank agree with numpy's SVD."""
     return (
         _close(factors.pseudoinverse(), np.linalg.pinv(A))
-        and _close(factors.singular_values, np.linalg.svd(A, compute_uv=False))
+        and _close(factors.sigma_n(), np.linalg.svd(A, compute_uv=False)[A.shape[0] - 1])
         and factors.rank == min(A.shape)
     )
 
@@ -147,8 +147,8 @@ def _matches_numpy(A, factors):
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Records the ``compute_uv`` of every np.linalg.svd call while the test
-    runs: False for the singular values of a QR triangle, True for a full
-    SVD."""
+    runs: False for the singular values of a QR triangle r or of r^-1 (the
+    route's fallbacks), True for a full SVD."""
     calls = []
     svd = np.linalg.svd
 
@@ -177,8 +177,8 @@ def test_paper_sets_take_the_closed_form_at_every_n(kind, svd_calls):
         assert not svd_calls, n
     # At n = 1 there is no pattern to detect; the QR route takes the set.
     S = build_set(kind, 1, 0.3)
-    pinv_factors(S.matrix)
-    assert svd_calls == [False]
+    assert pinv_factors(S.matrix).qr is not None
+    assert not svd_calls
 
 
 # The fixture is shared by the examples, so the test clears it itself.
@@ -207,8 +207,38 @@ def test_patterned_factors_match_svd(n, extra, d, b, c, svd_calls):
 def test_paper_sets_skip_the_svd(svd_calls):
     StencilPlan(build_set(SetKind.RB, 200, 0.3))
     assert len(svd_calls) == 0
-    StencilPlan(SampleDirections(np.random.default_rng(23).standard_normal((200, 201))))
-    assert svd_calls == [False, False]
+
+
+def test_well_separated_custom_set_needs_no_svd_and_no_solve(svd_calls, monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    S = SampleDirections(np.random.default_rng(23).standard_normal((200, 201)))
+    # The largest eigenvalue of x^T x (x = r^-1 for W = q r) exceeds half its
+    # trace, which the power iteration's certificate needs.
+    inv_s2 = np.linalg.svd(S.squared(), compute_uv=False) ** -2.0
+    assert inv_s2[-1] > inv_s2[:-1].sum()
+    svd_calls.clear()
+    plan = StencilPlan(S)
+    plan.scaled_estimates(*np.ones((2, 1, 201)), [0.1])
+    plan.s_factors.pseudoinverse()
+    assert svd_calls == [] and solves == []
+    assert plan.s_factors.qr is not None and plan.w_factors.qr is not None
+
+
+def test_clustered_sigma_n_falls_back_to_one_svd(svd_calls):
+    # sigma_n = sigma_{n-1}: no Rayleigh quotient exceeds the trace bound on lambda_2.
+    rng = np.random.default_rng(29)
+    n, k = 30, 31
+    s = np.append(rng.uniform(1.0, 2.0, n - 2), [0.5, 0.5])
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, n)))[0]
+    A = u @ np.diag(s) @ v.T
+    svd_calls.clear()
+    factors = pinv_factors(A)
+    sigma_n = factors.sigma_n()
+    assert svd_calls == [False] and factors.qr is not None and factors.rank == n
+    assert sigma_n == pytest.approx(0.5, rel=RTOL)
 
 
 def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
@@ -235,7 +265,8 @@ def test_pattern_below_the_normal_range_is_factored_by_qr(svd_calls):
 
 def _check_plan_against_numpy(S, rng):
     """The plan's estimates over several scales and its bound terms agree
-    with numpy's pinv and SVD of S and W written out directly."""
+    with numpy's pinv and SVD of S and W written out directly, and the
+    plan's sigma_n of W~ is not above numpy's by more than round-off."""
     W = S.squared()
     plan = StencilPlan(S)
     delta_c, eps = rng.standard_normal((2, len(HS), S.k))
@@ -246,30 +277,41 @@ def _check_plan_against_numpy(S, rng):
     assert plan.s_cond == pytest.approx(np.linalg.cond(S.matrix), rel=RTOL)
     assert plan.w_rank == np.linalg.matrix_rank(W) == S.n
     Wt = W / S.radius**2
-    assert plan.w_sigma_min == pytest.approx(np.linalg.svd(Wt, compute_uv=False)[-1], rel=RTOL)
+    s = np.linalg.svd(Wt, compute_uv=False)
+    assert plan.w_sigma_min == pytest.approx(s[-1], rel=RTOL)
+    assert plan.w_sigma_min <= s[-1] + max(W.shape) * np.finfo(float).eps * s[0]
     pinv_norm = plan_error_bound(plan, S.radius, 1.0, 0.0).pinv_norm
     assert pinv_norm == pytest.approx(np.linalg.norm(np.linalg.pinv(Wt.T), 2), rel=RTOL)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(n=st.integers(1, 12), extra=st.sampled_from(["0", "1", "n"]), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 40), extra=st.sampled_from(["0", "1", "n"]), seed=st.integers(0, 2**32 - 1))
 def test_full_rank_custom_sets_match_numpy(n, extra, seed, svd_calls):
     k = {"0": n, "1": n + 1, "n": 2 * n}[extra]
     rng = np.random.default_rng(seed)
     S = SampleDirections(random_conditioned(rng, n, k))
-    assume(svd_rank(S.squared())[1] == n)
+    W = S.squared()
+    assume(svd_rank(W)[1] == n)
     svd_calls.clear()
+    factors = [pinv_factors(A) for A in (S.matrix, W)]
+    # S and W go the QR route and reach no full SVD.
+    assert all(f.qr is not None for f in factors) and True not in svd_calls
+    for A, f in zip((S.matrix, W), factors):
+        rows = rng.standard_normal((3, k))
+        assert f.rank == n
+        assert _close(f.apply(rows), rows @ np.linalg.pinv(A))
+        assert _matches_numpy(A, f)
     _check_plan_against_numpy(S, rng)
-    # S and W go the QR route; the calls after theirs are numpy's.
-    assert svd_calls[:2] == [False, False]
 
 
 def test_full_rank_custom_set_at_n_200_matches_numpy(svd_calls):
     rng = np.random.default_rng(26)
     S = SampleDirections(rng.standard_normal((200, 201)))
+    plan = StencilPlan(S)
+    assert plan.s_factors.qr is not None and plan.w_factors.qr is not None
+    assert True not in svd_calls
     _check_plan_against_numpy(S, rng)
-    assert svd_calls[:2] == [False, False]
 
 
 def test_unpatterned_full_rank_matrices_are_factored_by_qr(svd_calls):
@@ -277,7 +319,7 @@ def test_unpatterned_full_rank_matrices_are_factored_by_qr(svd_calls):
     # The kind is a label only: a CB-labelled random matrix is not the identity.
     S = SampleDirections(random_conditioned(rng, 4, 4), SetKind.CB)
     plan = StencilPlan(S)
-    assert svd_calls == [False, False]
+    assert True not in svd_calls
     assert plan.s_factors.pinv is None and plan.w_factors.pinv is None
     assert _close(plan.s_factors.pseudoinverse().T, np.linalg.pinv(S.matrix.T))
     assert _close(plan.w_factors.pseudoinverse().T, np.linalg.pinv(S.squared().T))
@@ -289,7 +331,7 @@ def test_rank_deficient_or_short_sets_reach_the_full_svd(svd_calls):
     m = rng.standard_normal((4, 6))
     m[1] = m[0] * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     plan = StencilPlan(SampleDirections(m))
-    assert svd_calls == [False, False, True] and plan.w_rank == 3
+    assert svd_calls == [False, True] and plan.w_rank == 3
     assert plan.s_factors.pinv is None and plan.w_factors.qr is None
     # k < n: the QR route does not apply to either matrix.
     svd_calls.clear()
