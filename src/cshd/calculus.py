@@ -224,14 +224,14 @@ class StencilPlan:
     :func:`~cshd.linalg.pinv_factors`): in closed form for the paper's
     sets, by QR for any other set of full row rank and by SVD for the rest.
     ``s_factors`` applies pinv(S^T) and ``w_factors`` pinv(W^T) to stencil
-    data; neither pseudoinverse is formed on the QR route, since forming it
-    would cost most of what the route saves over the SVD.  ``w_rank`` is the
-    numerical rank of W and ``w_sigma_min`` the n-th singular value of the
-    radius-normalized W~ = W / radius^2 (0 when W has fewer than n
-    columns; on the QR route a certified lower bound, so the error bound
-    can only round up).  These and ``s_cond`` are fixed linear-algebra
-    facts of S; only the stencil values and the factors 1/h and 1/h^2
-    change with the scale.
+    data; on the QR route neither pseudoinverse is formed, as that would
+    cost most of what the route saves over the SVD, unless CSNE is too
+    inaccurate for the matrix.  ``w_rank`` is the numerical rank of W and
+    ``w_sigma_min`` the n-th singular value of the radius-normalized
+    W~ = W / radius^2 (0 when W has fewer than n columns; on the QR route a
+    certified lower bound, so the error bound can only round up).  These and
+    ``s_cond`` are fixed linear-algebra facts of S; only the stencil values
+    and the factors 1/h and 1/h^2 change with the scale.
     """
 
     directions: SampleDirections

@@ -1,7 +1,8 @@
 """Test-only truth oracles: finite-difference derivatives, an empirical
-Lipschitz estimate of the third derivative, and the diagonal quadratic
-model.  They check the library's analytic derivatives and estimates; the
-library itself does not use them.
+Lipschitz estimate of the third derivative, the diagonal quadratic model
+and the explicit-q application of a QR-factored pseudoinverse.  They check
+the library's analytic derivatives, estimates and factors; the library
+itself does not use them.
 """
 
 from itertools import combinations_with_replacement, permutations
@@ -9,7 +10,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from cshd.exceptions import ParameterError
-from cshd.linalg import _EPS, as_vector
+from cshd.linalg import _EPS, _invert_upper, as_vector
 
 
 def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
@@ -173,3 +174,10 @@ def diag_model_eval(x, x0, f0: float, g, d) -> float:
         )
     step = x - x0
     return float(f0 + g @ step + 0.5 * (d * step) @ step)
+
+
+def qr_pinv_apply(A, rows) -> np.ndarray:
+    """``rows @ pinv(A)`` for an n x k matrix A of full row rank through the
+    explicit q of A^T = q r: ``(rows @ q) @ x.T`` with the library's x = r^-1."""
+    q, r = np.linalg.qr(np.asarray(A, dtype=float).T)
+    return (rows @ q) @ _invert_upper(r).T

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cshd.exceptions import DimensionError, ParameterError
-from cshd.linalg import as_matrix, as_vector, pseudoinverse, svd_rank
+from cshd.linalg import as_matrix, as_vector, pinv_factors, pseudoinverse, svd_rank
 
 from helpers import random_conditioned
+from oracles import qr_pinv_apply
 
 
 def penrose_residuals(A, P):
@@ -81,3 +84,58 @@ def test_svd_rank():
     assert r == 1
     _, r = svd_rank(np.eye(3))
     assert r == 3
+
+
+def _rel_err(a, truth):
+    return float(np.linalg.norm(a - truth) / np.linalg.norm(truth))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 60),
+    extra=st.floats(0.0, 1.0),
+    log_kappa=st.floats(1.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qr_route_is_as_accurate_as_the_explicit_q(n, extra, log_kappa, seed):
+    # A = u diag(s) v^T with s from 1 down to 1 / kappa, k from n + 1 to 2n.
+    rng = np.random.default_rng(seed)
+    k = n + 1 + int(extra * (n - 1))
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, n)))[0]
+    kappa = 10.0**log_kappa
+    A = (u * np.logspace(0.0, -log_kappa, n)) @ v.T
+    factors = pinv_factors(A)
+    assert factors.rank == n
+    P = np.linalg.pinv(A)
+    # Random rows, and rows in the range of A^T, where the least-squares
+    # residual vanishes and the semi-normal equations alone lose accuracy.
+    random_rows, range_rows = rng.standard_normal((3, k)), rng.standard_normal((3, n)) @ A
+    for got, b in ((factors.apply(random_rows), random_rows), (factors.apply(range_rows), range_rows),
+                   (factors.pseudoinverse(), np.eye(k))):
+        truth = b @ P
+        # The reference's own error often falls far below the least-squares
+        # perturbation scale eps kappa (1 + kappa ||b - y A|| / ||y||), so
+        # either bounds the route's error.
+        scale = np.finfo(float).eps * kappa * (
+            1.0 + kappa * np.linalg.norm(b - truth @ A) / np.linalg.norm(truth))
+        assert _rel_err(got, truth) <= 4.0 * max(_rel_err(qr_pinv_apply(A, b), truth), scale)
+
+
+def test_factors_do_not_follow_writes_to_the_input():
+    rng = np.random.default_rng(4)
+    A = random_conditioned(rng, 5, 8)
+    rows = rng.standard_normal((2, 8))
+    factors = pinv_factors(A)
+    assert factors.qr is not None and factors.qr[0] is not A
+    before = factors.apply(rows)
+    A[...] = rng.standard_normal(A.shape)
+    assert A.flags.writeable
+    assert np.array_equal(factors.apply(rows), before)
+    # A frozen input is copied too: a view taken before it was frozen still writes to it.
+    view = A[:]
+    A.flags.writeable = False
+    factors = pinv_factors(A)
+    before = factors.apply(rows)
+    view[...] = 0.0
+    assert np.array_equal(factors.apply(rows), before)

@@ -210,8 +210,9 @@ def test_paper_sets_skip_the_svd(svd_calls):
 
 
 def test_well_separated_custom_set_needs_no_svd_and_no_solve(svd_calls, monkeypatch):
-    solves = []
-    solve = np.linalg.solve
+    modes, solves = [], []
+    qr, solve = np.linalg.qr, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": modes.append(mode) or qr(a, mode))
     monkeypatch.setattr(np.linalg, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     S = SampleDirections(np.random.default_rng(23).standard_normal((200, 201)))
     # The largest eigenvalue of x^T x (x = r^-1 for W = q r) exceeds half its
@@ -222,7 +223,8 @@ def test_well_separated_custom_set_needs_no_svd_and_no_solve(svd_calls, monkeypa
     plan = StencilPlan(S)
     plan.scaled_estimates(*np.ones((2, 1, 201)), [0.1])
     plan.s_factors.pseudoinverse()
-    assert svd_calls == [] and solves == []
+    # Only the triangles are computed: q is never formed.
+    assert modes == ["r", "r"] and svd_calls == [] and solves == []
     assert plan.s_factors.qr is not None and plan.w_factors.qr is not None
 
 
@@ -239,6 +241,20 @@ def test_clustered_sigma_n_falls_back_to_one_svd(svd_calls):
     sigma_n = factors.sigma_n()
     assert svd_calls == [False] and factors.qr is not None and factors.rank == n
     assert sigma_n == pytest.approx(0.5, rel=RTOL)
+
+
+def test_stalled_trace_bound_is_certified_by_the_frobenius_bound(svd_calls):
+    # lambda_1 of x^T x is below half its trace, so the trace bound on lambda_2
+    # never certifies it; sqrt(||M||_F^2 - theta^2) does, with no SVD.
+    W = np.random.default_rng(17).standard_normal((20, 21)) ** 2
+    s = np.linalg.svd(W, compute_uv=False)
+    assert s[-1] ** -2.0 < (s[:-1] ** -2.0).sum()
+    svd_calls.clear()
+    factors = pinv_factors(W)
+    sigma_n = factors.sigma_n()
+    assert svd_calls == [] and factors.qr is not None
+    assert sigma_n == pytest.approx(s[-1], rel=RTOL)
+    assert sigma_n <= s[-1] + max(W.shape) * np.finfo(float).eps * s[0]
 
 
 def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
