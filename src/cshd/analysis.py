@@ -12,7 +12,7 @@ import numpy as np
 
 from .calculus import StencilPlan
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, diagonal_pattern
 from .sets import SampleDirections
 
 __all__ = [
@@ -51,25 +51,45 @@ class BoundBreakdown:
 
 
 def _validated_hessian(S: SampleDirections, hess) -> np.ndarray:
+    """(H + H^T) / 2 in a fresh array, once H is known to be symmetric."""
     H = as_matrix(hess, "hessian")
     if H.shape != (S.n, S.n):
         raise DimensionError(f"hessian shape {H.shape} does not match directions in R^{S.n}")
-    scale = 1.0 + float(np.abs(H).max())
-    if float(np.abs(H - H.T).max()) > 1e-8 * scale:
+    scale = 1.0 + max(float(H.max()), -float(H.min()))
+    sym = np.subtract(H, H.T)
+    if max(float(sym.max()), -float(sym.min())) > 1e-8 * scale:
         raise ParameterError("hessian must be symmetric")
-    return 0.5 * (H + H.T)
+    np.add(H, H.T, out=sym)
+    sym *= 0.5
+    return sym
 
 
 def cross_term_sum(S: SampleDirections, hess) -> float:
     """sum_i |shat_i^T U shat_i| over the radius-normalized directions.
 
-    Scale invariant: replacing S by h*S leaves the value unchanged.
+    Scale invariant: replacing S by h*S leaves the value unchanged.  For a
+    set of the paper's pattern (d on the diagonal, b off it and an optional
+    constant column of c; see :func:`~cshd.linalg.diagonal_pattern`) it
+    takes O(n^2) work from the Hessian's row sums: with off_i = sum_{j != i}
+    H_ij and T = sum(off) / 2, the term of column i is (d - b) b off_i + b^2 T
+    and that of the constant column c^2 T, over radius^2.  Any other set
+    takes one n x n x k product.
     """
     H = _validated_hessian(S, hess)
-    U = np.triu(H, 1)
+    pattern = diagonal_pattern(S.matrix)
+    if pattern is not None:
+        d, b, c = (v / S.radius for v in pattern)
+        off = H.sum(axis=1) - H.diagonal()
+        t = float(off.sum()) / 2.0
+        terms = abs(c * c * t) if S.k > S.n else 0.0
+        if b != 0.0:  # b = 0 leaves the square columns exactly 0, a lonely set's value
+            terms += float(np.abs((d - b) * b * off + b * b * t).sum())
+        return terms
+    H[np.tri(S.n, dtype=bool)] = 0.0  # U, the strictly upper part of H
     shat = S.unit_directions()
-    vals = (shat * (U @ shat)).sum(axis=0)
-    return float(np.abs(vals).sum())
+    vals = H @ shat
+    vals *= shat
+    return float(np.abs(vals.sum(axis=0)).sum())
 
 
 def error_bound(S: SampleDirections, lipschitz: float, hess_at_x0) -> BoundBreakdown:
@@ -150,5 +170,12 @@ def convergence_order(hs, errors) -> float:
         raise ParameterError("hs and errors must be positive")
     if np.any(np.diff(h) >= 0):
         raise ParameterError("hs must be strictly decreasing")
-    return float(np.polyfit(np.log(h), np.log(e), 1)[0])
+    # The least-squares slope, in closed form on the centred logarithms.
+    x, y = np.log(h), np.log(e)
+    x -= x.mean()
+    y -= y.mean()
+    sxx = float(x @ x)
+    if sxx == 0.0:
+        raise ParameterError("hs must differ by more than round-off in log(h)")
+    return float(x @ y) / sxx
 

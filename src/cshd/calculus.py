@@ -39,11 +39,13 @@ __all__ = [
 
 
 class Objective:
-    """Wraps an evaluation rule ``f : R^n -> float`` with a call counter.
+    """Wraps an evaluation rule ``f : R^n -> float`` with an evaluation counter.
 
-    The counter increases by exactly one per call, including calls whose
-    evaluation raises, and is guarded by a lock so that concurrent
-    evaluation keeps it exact.  The rule itself must be deterministic.
+    The counter grows by exactly one per point evaluated, including a point
+    whose evaluation raises.  Each :meth:`values` call adds its points once,
+    under a lock, as it returns or raises, so ``evals`` is exact whenever no
+    call is running, concurrent calls included.  The rule itself must be
+    deterministic.
     """
 
     def __init__(self, fn: Callable, dim: int, name: str | None = None):
@@ -57,7 +59,7 @@ class Objective:
 
     @property
     def evals(self) -> int:
-        """Number of evaluations issued so far."""
+        """Number of evaluations made by the calls that have returned or raised."""
         return self._evals
 
     def __call__(self, x) -> float:
@@ -71,30 +73,33 @@ class Objective:
     def values(self, points, label: Callable[[int], str] = "row {}".format) -> np.ndarray:
         """f at each row of an ``(m, dim)`` array of points, in row order.
 
-        Counts one evaluation per row, including a row whose evaluation
-        raises.  A row whose rule raises or returns a non-finite value
-        raises :class:`StencilError` naming ``label(row index)`` and the
-        point.
+        Counts one evaluation per row attempted, including a row whose
+        evaluation raises, all at once as the call returns or raises.  A row
+        whose rule raises or returns a non-finite value raises
+        :class:`StencilError` naming ``label(row index)`` and the point.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ParameterError(
                 f"{self.name}: expected an (m, {self.dim}) array of points, got shape {points.shape}"
             )
-        fn, lock = self._fn, self._lock
-        out = []
-        for r, x in enumerate(points):
-            with lock:
-                self._evals += 1
-            try:
-                value = float(fn(x))
-            except StencilError:
-                raise
-            except Exception as exc:
-                raise StencilError(f"evaluation failed at {label(r)} = {x.tolist()}: {exc}") from exc
-            if not math.isfinite(value):
-                raise StencilError(f"non-finite value {value!r} at {label(r)} = {x.tolist()}")
-            out.append(value)
+        fn, out = self._fn, []
+        try:
+            for r, x in enumerate(points):
+                try:
+                    value = float(fn(x))
+                except StencilError:
+                    raise
+                except Exception as exc:
+                    where = f"{label(r)} = {x.tolist()}"
+                    raise StencilError(f"evaluation failed at {where}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise StencilError(f"non-finite value {value!r} at {label(r)} = {x.tolist()}")
+                out.append(value)
+        finally:
+            # Every row that returned, and the one that raised, if any.
+            with self._lock:
+                self._evals += len(out) + (len(out) < len(points))
         return np.array(out)
 
 

@@ -18,9 +18,11 @@ the cutoff, so the SVD decides every rank-deficient matrix and the cutoff
 stays the only rank rule.  The QR route takes full rank as certain when
 kappa_F = ||r||_F ||x||_F >= sigma_max / sigma_n is below 1 / sqrt(max(n, k)
 eps), the square root of the cutoff's margin, so kappa^2 eps < 1 / max(n, k)
-for CSNE.  Otherwise the singular values of r decide, and a full-rank matrix
-whose kappa fails that margin keeps pinv = q x^T formed, as CSNE loses
-accuracy once kappa^2 eps nears 1.  Factoring a Gaussian 200 x 201 set and
+for CSNE; the norms are taken again at r / max |r_ij| when their product
+leaves the double range, so the certificate does not depend on A's scale.
+Otherwise the singular values of r decide, and a full-rank matrix whose
+kappa fails that margin keeps pinv = q x^T formed, as CSNE loses accuracy
+once kappa^2 eps nears 1.  Factoring a Gaussian 200 x 201 set and
 its square, certifying sigma_n and applying each once takes 5.9 ms on one
 BLAS thread, against 9.3 ms with q.
 
@@ -39,6 +41,7 @@ from .exceptions import DimensionError, ParameterError
 __all__ = [
     "as_matrix",
     "as_vector",
+    "diagonal_pattern",
     "pseudoinverse",
     "PinvFactors",
     "pinv_factors",
@@ -134,7 +137,13 @@ class PinvFactors(NamedTuple):
         # min(||x||_F^2 - theta, sqrt(||M||_F^2 - theta^2)).  When theta > eta,
         # Kato-Temple bounds lambda_1 by theta + rho^2 / (theta - eta), rho = ||M v - theta v||.
         with np.errstate(all="ignore"):  # x may overflow here; the SVD then decides
-            trace, frob2 = float(np.vdot(x, x)), None
+            trace, frob2, scale = float(np.vdot(x, x)), None, 1.0
+            if not 0.0 < trace * trace < np.inf:
+                # The squares of M left the double range: iterate on x / scale,
+                # as sigma_1(x) = scale sigma_1(x / scale).
+                scale = float(np.abs(x).max())
+                x = x / scale
+                trace = float(np.vdot(x, x))
             u = x[np.argmax(np.einsum("ij,ij->i", x, x))]  # the longest row of x
             for step in range(40):
                 v = u / np.linalg.norm(u)
@@ -148,14 +157,14 @@ class PinvFactors(NamedTuple):
                     eta = min(eta, np.sqrt(max(frob2 - theta * theta, 0.0)))
                 gap = theta - eta
                 if gap > 0.0 and rho * rho <= 1e-13 * theta * gap:
-                    return 1.0 / np.sqrt(theta + rho * rho / gap)
-        return 1.0 / float(np.linalg.svd(x, compute_uv=False)[0])
+                    return 1.0 / (scale * np.sqrt(theta + rho * rho / gap))
+        return 1.0 / (scale * float(np.linalg.svd(x, compute_uv=False)[0]))
 
 
-def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
-    # A is d on the diagonal and b off it, plus a column of c when k = n + 1.
-    # Then A A^T = p I + ((big - p) / n) 11^T: singular values sqrt(big) once
-    # and sqrt(p) n - 1 times, and Sherman-Morrison gives A^T (A A^T)^-1.
+def diagonal_pattern(A: np.ndarray) -> tuple[float, float, float] | None:
+    """``(d, b, c)`` when the n x k matrix *A* (n >= 2) is d on the diagonal
+    and b off it, followed by a constant column of c when k = n + 1 (c is 0
+    when k = n); otherwise None."""
     n, k = A.shape
     if n < 2 or k not in (n, n + 1):
         return None
@@ -166,6 +175,18 @@ def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
     if not ((diagonal == d).all() and (k == n or (A[:, n] == c).all())
             and np.count_nonzero(square == b) == n * (n - 1) + n * (d == b)):
         return None
+    return d, b, c
+
+
+def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
+    # For A of the diagonal pattern, A A^T = p I + ((big - p) / n) 11^T:
+    # singular values sqrt(big) once and sqrt(p) n - 1 times, and
+    # Sherman-Morrison gives A^T (A A^T)^-1.
+    pattern = diagonal_pattern(A)
+    if pattern is None:
+        return None
+    d, b, c = pattern
+    n = A.shape[0]
     q = d - b
     r = q + n * b
     p, big = q * q, r * r + n * c * c
@@ -188,6 +209,11 @@ def _qr_factors(A: np.ndarray) -> PinvFactors | None:
     with np.errstate(all="ignore"):
         x = _invert_upper(r)
         kappa_f = float(np.linalg.norm(r) * np.linalg.norm(x))
+        if not 0.0 < kappa_f < np.inf:
+            # The squares of r or x left the double range; the norms are taken
+            # at scale = max |r_ij|, as ||r|| ||x|| = ||r / scale|| ||scale x||.
+            scale = float(np.abs(r).max())
+            kappa_f = float(np.linalg.norm(r / scale) * np.linalg.norm(x * scale))
     margin = np.sqrt(max(n, k) * _EPS)
     if not kappa_f * margin < 1.0:
         s = np.linalg.svd(r, compute_uv=False)

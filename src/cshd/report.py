@@ -29,7 +29,7 @@ def fmt_float(x: float) -> str:
 
 def fmt_point(p) -> str:
     """Comma-joined full-precision coordinates."""
-    return ",".join(fmt_float(v) for v in np.asarray(p, dtype=float))
+    return ",".join(["%.17g" % v for v in np.asarray(p, dtype=float).tolist()])
 
 
 def _texts(values) -> list[str]:

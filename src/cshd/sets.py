@@ -112,7 +112,10 @@ class SampleDirections:
 def regular_basis(n: int) -> np.ndarray:
     """The n x n regular basis: unit columns at equal pairwise angles."""
     shrink = (1.0 - np.sqrt(1.0 / (n + 1))) / n
-    return np.sqrt((n + 1) / n) * (np.eye(n) - shrink * np.ones((n, n)))
+    m = np.full((n, n), -shrink)  # I - shrink 11^T, scaled in place
+    np.fill_diagonal(m, 1.0 - shrink)
+    m *= np.sqrt((n + 1) / n)
+    return m
 
 
 def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
@@ -134,7 +137,8 @@ def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
         m = np.hstack([rb, np.full((n, 1), -rb[0].sum())])
     else:
         raise ParameterError("a custom direction matrix is required for kind=custom")
-    return SampleDirections(h * m, kind)
+    m *= h
+    return SampleDirections(m, kind)
 
 
 def load_directions(path) -> SampleDirections:

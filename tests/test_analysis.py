@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cshd.analysis import (
     absolute_error,
@@ -38,19 +40,37 @@ def test_cross_term_vanishes_for_lonely_sets():
         assert cross_term_sum(S, H) == 0.0
 
 
+def _triple_sum(S, H):
+    """sum_j |sum_{i<m} shat_ij H_im shat_mj|, written out pair by pair."""
+    i, m = np.triu_indices(S.n, 1)
+    shat = S.unit_directions()
+    return sum(abs(float((shat[i, j] * H[i, m] * shat[m, j]).sum())) for j in range(S.k))
+
+
 def test_cross_term_matches_triple_sum():
     rng = np.random.default_rng(16)
     for n in (2, 3, 10, 200):
-        i, m = np.triu_indices(n, 1)
         for _ in range(3 if n == 200 else 10):
             S = SampleDirections(rng.standard_normal((n, n + int(rng.integers(0, 3)))))
             assert not S.is_lonely()
             H = rng.standard_normal((n, n))
             H = H + H.T
-            shat = S.unit_directions()
-            # sum_{i<m} shat_ij U_im shat_mj for each column j
-            ref = sum(abs(float((shat[i, j] * H[i, m] * shat[m, j]).sum())) for j in range(S.k))
-            assert cross_term_sum(S, H) == pytest.approx(ref, rel=1e-12)
+            assert cross_term_sum(S, H) == pytest.approx(_triple_sum(S, H), rel=1e-12)
+    # The paper's sets and a custom set of their pattern take the row-sum form.
+    for n in (2, 3, *rng.integers(4, 61, size=8)):
+        H = rng.standard_normal((n, n))
+        H = H + H.T
+        h = 10.0 ** rng.uniform(-6.0, 1.0)
+        d, b, c = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+        pattern = np.full((n, n + 1), b)
+        np.fill_diagonal(pattern, d)
+        pattern[:, n] = c
+        custom = [SampleDirections(h * pattern), SampleDirections(h * pattern[:, :n])]
+        for S in [*(build_set(kind, n, h) for kind in SetKind if kind is not SetKind.CUSTOM),
+                  *custom]:
+            assert cross_term_sum(S, H) == pytest.approx(_triple_sum(S, H), rel=1e-12)
+        for S in (build_set(SetKind.CB, n, h), SampleDirections(d * h * np.eye(n))):
+            assert S.is_lonely() and cross_term_sum(S, H) == 0.0
 
 
 def test_cross_term_scale_invariance():
@@ -159,6 +179,27 @@ def test_convergence_order_rosenbrock_sweep():
     assert 1.9 <= convergence_order(hs, errs) <= 2.1
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    log_h0=st.floats(-8.0, 2.0),
+    steps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=60),
+    order=st.floats(0.5, 4.0) | st.floats(-4.0, -0.5),
+    log_c=st.floats(-20.0, 20.0),
+    noise=st.floats(0.0, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convergence_order_agrees_with_polyfit(log_h0, steps, order, log_c, noise, seed):
+    log_h = log_h0 - np.cumsum([0.0, *steps])
+    hs = 10.0 ** log_h
+    # Noise in log(error) up to 10% of the fitted rise keeps the slope away
+    # from 0, where a relative comparison would measure only round-off.
+    spread = noise * abs(order) * np.log(10.0) * (log_h[0] - log_h[-1])
+    jitter = spread * np.random.default_rng(seed).standard_normal(hs.size)
+    errors = np.exp(log_c + order * np.log(hs) + jitter)
+    ref = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    assert convergence_order(hs, errors) == pytest.approx(ref, rel=1e-12)
+
+
 def test_convergence_order_validation():
     with pytest.raises(ParameterError):
         convergence_order([1e-1, 1e-2], [1.0, 2.0])
@@ -168,6 +209,10 @@ def test_convergence_order_validation():
         convergence_order([1e-3, 1e-2, 1e-1], [1.0, 1.0, 1.0])
     with pytest.raises(ParameterError):
         convergence_order([1e-1, -1e-2, 1e-3], [1.0, 1.0, 1.0])
+    # Adjacent doubles near 1e300 have the same logarithm.
+    hs = [1e300, np.nextafter(1e300, 0.0), np.nextafter(np.nextafter(1e300, 0.0), 0.0)]
+    with pytest.raises(ParameterError, match="round-off"):
+        convergence_order(hs, [1.0, 2.0, 3.0])
 
 
 def test_fd_oracles_match_analytic_derivatives():

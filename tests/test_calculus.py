@@ -54,6 +54,25 @@ def test_objective_counter_is_thread_safe():
     assert obj.evals == 400
 
 
+def test_objective_counts_every_row_of_concurrent_calls():
+    # 64 arrays of 25 rows on 8 threads; row 7 of array 13 raises, so that
+    # call attempts 8 rows and every other call all 25.
+    obj = Objective(lambda y: 1.0 / float(y[1]), 2)  # ZeroDivisionError at y[1] = 0
+    arrays = [np.column_stack([np.full(25, j), np.arange(1.0, 26.0)]) for j in range(64)]
+    arrays[13][7, 1] = 0.0
+
+    def call(points):
+        try:
+            return obj.values(points).size
+        except StencilError:
+            return None
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        sizes = list(pool.map(call, arrays))
+    assert sizes.count(None) == 1 and sizes[13] is None
+    assert obj.evals == 63 * 25 + 8
+
+
 def test_objective_rejects_wrong_dimension():
     obj = Objective(lambda y: 0.0, 2)
     with pytest.raises(ParameterError):

@@ -257,6 +257,20 @@ def test_stalled_trace_bound_is_certified_by_the_frobenius_bound(svd_calls):
     assert sigma_n <= s[-1] + max(W.shape) * np.finfo(float).eps * s[0]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-150, 1e150, 1e160])
+def test_certificates_hold_at_any_scale(scale, svd_calls):
+    # The squares of r and x = r^-1 leave the double range near 1e+-160; the
+    # certificates must not, as kappa and sigma_n / scale are scale-free.
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    A = u @ np.diag([2.0, 1.0, 0.5]) @ v.T
+    factors = pinv_factors(scale * A)
+    sigma_n = factors.sigma_n()
+    assert svd_calls == [] and factors.qr is not None and factors.rank == 3
+    assert sigma_n == pytest.approx(0.5 * scale, rel=RTOL)
+
+
 def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
     n = 5
     A = np.eye(n) - np.ones((n, n)) / n
@@ -272,10 +286,11 @@ def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
 
 
 def test_pattern_below_the_normal_range_is_factored_by_qr(svd_calls):
-    # The squares of these entries are subnormal, so p and big lose precision.
+    # The squares of these entries are subnormal, so p and big lose precision;
+    # the QR route's certificates are scale-free and need no SVD.
     A = 1e-160 * (np.eye(3) + 0.3)
     f = pinv_factors(A)
-    assert svd_calls == [False] and f.rank == 3 and f.pinv is None
+    assert svd_calls == [] and f.rank == 3 and f.pinv is None
     assert _close(1e-160 * f.pseudoinverse(), 1e-160 * np.linalg.pinv(A))
 
 
