@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError, StencilError
-from .linalg import PinvFactors, as_vector, pinv_factors, svd_rank
+from .linalg import PinvFactors, _pinv_factors, as_vector, svd_rank
 from .sets import SampleDirections
 
 __all__ = [
@@ -129,16 +129,14 @@ class EvaluatedStencil:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Generalized centered simplex gradient with its provenance."""
+    """Generalized centered simplex gradient."""
 
     value: np.ndarray
-    directions: SampleDirections
-    x0: np.ndarray
 
 
 @dataclass(frozen=True)
 class DiagHessianEstimate:
-    """Centered simplex Hessian diagonal with its provenance.
+    """Centered simplex Hessian diagonal.
 
     ``w_rank_deficient`` is set when W = S .* S lacks full row rank; the
     estimate is then the least-squares / minimum-norm solution rather than
@@ -146,8 +144,6 @@ class DiagHessianEstimate:
     """
 
     value: np.ndarray
-    directions: SampleDirections
-    x0: np.ndarray
     w_rank_deficient: bool = False
 
 
@@ -227,16 +223,16 @@ class StencilPlan:
 
     Built from the factors of S and of W = S .* S (see
     :func:`~cshd.linalg.pinv_factors`): in closed form for the paper's
-    sets, by QR for any other set of full row rank and by SVD for the rest.
-    ``s_factors`` applies pinv(S^T) and ``w_factors`` pinv(W^T) to stencil
-    data; on the QR route neither pseudoinverse is formed, as that would
-    cost most of what the route saves over the SVD, unless CSNE is too
-    inaccurate for the matrix.  ``w_rank`` is the numerical rank of W and
-    ``w_sigma_min`` the n-th singular value of the radius-normalized
-    W~ = W / radius^2 (0 when W has fewer than n columns; on the QR route a
-    certified lower bound, so the error bound can only round up).  These and
-    ``s_cond`` are fixed linear-algebra facts of S; only the stencil values
-    and the factors 1/h and 1/h^2 change with the scale.
+    sets, by QR for any other set certified to have full row rank and by
+    SVD for the rest.  ``s_factors`` applies pinv(S^T) and ``w_factors``
+    pinv(W^T) to stencil data; on the QR route neither pseudoinverse is
+    formed, as that would cost most of what the route saves over the SVD.
+    ``w_rank`` is the numerical rank of W and ``w_sigma_min`` the n-th
+    singular value of the radius-normalized W~ = W / radius^2 (0 when W has
+    fewer than n columns; on the QR route a certified lower bound, so the
+    error bound can only round up).  These and ``s_cond`` are fixed
+    linear-algebra facts of S; only the stencil values and the factors 1/h
+    and 1/h^2 change with the scale.
     """
 
     directions: SampleDirections
@@ -248,8 +244,9 @@ class StencilPlan:
 
     def __post_init__(self):
         S = self.directions
-        s = pinv_factors(S.matrix)
-        w = pinv_factors(S.squared())
+        # S.matrix is frozen and W is fresh, so the factors keep them uncopied.
+        s = _pinv_factors(S.matrix)
+        w = _pinv_factors(S.squared())
         for a in (s.pinv, w.pinv, *(s.qr or ()), *(w.qr or ())):
             if a is not None:
                 a.flags.writeable = False
@@ -297,10 +294,7 @@ class StencilPlan:
         if stencil.delta_c.shape != (self.directions.k,) or S.k != self.directions.k:
             raise ParameterError("stencil was built over a different direction set")
         g, d = self.scaled_estimates(stencil.delta_c[np.newaxis], stencil.eps[np.newaxis], [h])
-        return (
-            GradientEstimate(g[0], S, stencil.x0),
-            DiagHessianEstimate(d[0], S, stencil.x0, w_rank_deficient=self.w_rank_deficient),
-        )
+        return GradientEstimate(g[0]), DiagHessianEstimate(d[0], self.w_rank_deficient)
 
 
 def centered_gradient(stencil: EvaluatedStencil, S: SampleDirections) -> GradientEstimate:

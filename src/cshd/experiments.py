@@ -12,7 +12,6 @@ import numpy as np
 from .analysis import BoundBreakdown, convergence_order, cross_term_sum, plan_error_bound
 from .calculus import (
     DiagHessianEstimate,
-    EvaluatedStencil,
     GradientEstimate,
     StencilPlan,
     evaluate_stencils,
@@ -86,7 +85,7 @@ def parse_h_grid(spec: str) -> np.ndarray:
 class ApproxResult:
     gradient: GradientEstimate
     diag: DiagHessianEstimate
-    stencil: EvaluatedStencil
+    f0: float
     row: ReportRow
     bound: BoundBreakdown | None = None
     objective: object = None  # the counting Objective that was evaluated
@@ -98,7 +97,7 @@ class ApproxResult:
         b = self.bound
         bound = {} if b is None else {f"bound_{k}": v for k, v in vars(b).items() if v is not None}
         return ExperimentReport([self.row], summary_lines(
-            g=fmt_point(self.gradient.value), d=fmt_point(self.diag.value), f0=self.stencil.f0,
+            g=fmt_point(self.gradient.value), d=fmt_point(self.diag.value), f0=self.f0,
             w_rank_deficient=self.diag.w_rank_deficient, **bound))
 
 
@@ -192,9 +191,8 @@ def run_approx(
     obj = func.objective()
     builder = _RowBuilder(func, point, S, with_bound)
     rows, g, d, stencil, bounds = builder.rows(obj, [1.0], [S.radius], known_f0)
-    grad = GradientEstimate(g[0], S, point)
-    diag = DiagHessianEstimate(d[0], S, point, w_rank_deficient=builder.plan.w_rank_deficient)
-    return ApproxResult(grad, diag, stencil.single(), replace(rows[0], h=h), bounds[0], obj)
+    diag = DiagHessianEstimate(d[0], builder.plan.w_rank_deficient)
+    return ApproxResult(GradientEstimate(g[0]), diag, stencil.f0, replace(rows[0], h=h), bounds[0], obj)
 
 
 def _grid_rows(func: RegistryFunction, point: np.ndarray, directions: SetKind | SampleDirections,

@@ -13,18 +13,14 @@ The pseudoinverse is factored by the first of three routes that applies:
   the residual rows - g A, as accurate as applying q while kappa^2 eps is small;
 * one SVD with U and V, for everything else.
 
-The first two apply only when every one of the n singular values lies above
-the cutoff, so the SVD decides every rank-deficient matrix and the cutoff
-stays the only rank rule.  The QR route takes full rank as certain when
-kappa_F = ||r||_F ||x||_F >= sigma_max / sigma_n is below 1 / sqrt(max(n, k)
+The QR route applies only when it certifies full rank with room to spare:
+kappa_F = ||r||_F ||x||_F >= sigma_max / sigma_n below 1 / sqrt(max(n, k)
 eps), the square root of the cutoff's margin, so kappa^2 eps < 1 / max(n, k)
 for CSNE; the norms are taken again at r / max |r_ij| when their product
 leaves the double range, so the certificate does not depend on A's scale.
-Otherwise the singular values of r decide, and a full-rank matrix whose
-kappa fails that margin keeps pinv = q x^T formed, as CSNE loses accuracy
-once kappa^2 eps nears 1.  Factoring a Gaussian 200 x 201 set and
-its square, certifying sigma_n and applying each once takes 5.9 ms on one
-BLAS thread, against 9.3 ms with q.
+The closed form applies only when all n singular values lie above the
+cutoff.  So the SVD decides every rank-deficient or ill-conditioned matrix,
+and the cutoff stays the only rank rule.
 
 Everything operates on plain numpy arrays.  Inputs are validated once at the
 boundary (finite entries, expected dimensionality); all functions are pure.
@@ -91,20 +87,13 @@ def _invert_upper(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _csne(rows: np.ndarray, rows_at: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # CSNE: g = rows A^T (r^T r)^-1, refined once by the residual rows - g A.
-    g = (rows_at @ x) @ x.T
-    return g + (((rows - g @ a) @ a.T) @ x) @ x.T
-
-
 class PinvFactors(NamedTuple):
     """The factors of pinv(A) for an n x k matrix A.
 
-    ``pinv`` is pinv(A) itself on the closed-form and SVD routes and for an
-    uncertified QR triangle, and ``sigma`` the n-th singular value of A
-    there (0 when k < n).  Otherwise both are None and ``qr`` holds
-    ``(A, x)``, with A a read-only array of the factors' own and x = r^-1
-    for A^T = q r, so pinv(A) = A^T x x^T.
+    ``pinv`` is pinv(A) itself on the closed-form and SVD routes, and
+    ``sigma`` the n-th singular value of A there (0 when k < n).  On the
+    QR route both are None and ``qr`` holds ``(A, x)``, with A read-only
+    and x = r^-1 for A^T = q r, so pinv(A) = A^T x x^T.
     """
 
     pinv: np.ndarray | None
@@ -116,17 +105,12 @@ class PinvFactors(NamedTuple):
         """``rows @ pinv(A)`` for an (m, k) array: pinv(A^T) applied to every row."""
         if self.qr is None:
             return rows @ self.pinv
-        return _csne(rows, rows @ self.qr[0].T, *self.qr)
-
-    def pseudoinverse(self) -> np.ndarray:
-        """pinv(A), formed by CSNE on the identity if it is not kept."""
-        if self.qr is None:
-            return self.pinv
         a, x = self.qr
-        return _csne(np.eye(a.shape[1]), a.T, a, x)  # rows = I, so rows A^T = A^T
+        g = ((rows @ a.T) @ x) @ x.T  # CSNE, refined once by the residual rows - g A
+        return g + (((rows - g @ a) @ a.T) @ x) @ x.T
 
     def sigma_n(self) -> float:
-        """sigma_n(A), 0 when k < n; with ``qr`` kept a lower bound within 1e-13
+        """sigma_n(A), 0 when k < n; on the QR route a lower bound within 1e-13
         of it, relative, or 1 / sigma_1(x) when 40 power steps certify nothing."""
         if self.qr is None:
             return self.sigma
@@ -214,31 +198,14 @@ def _qr_factors(A: np.ndarray) -> PinvFactors | None:
             # at scale = max |r_ij|, as ||r|| ||x|| = ||r / scale|| ||scale x||.
             scale = float(np.abs(r).max())
             kappa_f = float(np.linalg.norm(r / scale) * np.linalg.norm(x * scale))
-    margin = np.sqrt(max(n, k) * _EPS)
-    if not kappa_f * margin < 1.0:
-        s = np.linalg.svd(r, compute_uv=False)
-        if not (s[-1] > _svd_cutoff(A.shape, s[0]) and np.isfinite(x).all()):
-            return None  # rank deficient, or r^-1 out of range: the SVD decides
-        if not s[0] * margin < s[-1]:
-            # kappa^2 eps is not small, and CSNE loses accuracy on rows in the
-            # range of A^T: pinv = q x^T is formed and kept.
-            return PinvFactors(np.linalg.qr(A.T)[0] @ x.T, n, float(s[-1]))
-    A = A.copy()  # the factors must not follow later writes to the caller's array
+    if not kappa_f * np.sqrt(max(n, k) * _EPS) < 1.0:
+        return None  # full rank with kappa^2 eps small for CSNE is not certified: the SVD decides
     A.flags.writeable = False
     return PinvFactors(None, n, None, (A, x))
 
 
-def pinv_factors(A) -> PinvFactors:
-    """Factors of the pseudoinverse of *A*, its numerical rank and sigma_n.
-
-    Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
-    as zero, so rank-deficient input yields the least-squares /
-    minimum-norm inverse.  A patterned matrix of full row rank (see the
-    module docstring) is factored in closed form, any other of full row
-    rank by QR with the pseudoinverse left unformed, and the rest by one
-    SVD.
-    """
-    A = as_matrix(A)
+def _pinv_factors(A: np.ndarray) -> PinvFactors:
+    # pinv_factors for a finite 2-d float array that the factors may keep as it is.
     factors = _patterned_factors(A) or _qr_factors(A)
     if factors is not None:
         return factors
@@ -250,10 +217,23 @@ def pinv_factors(A) -> PinvFactors:
     return PinvFactors((vt.T * inv) @ u.T, int(np.count_nonzero(keep)), sigma_n)
 
 
+def pinv_factors(A) -> PinvFactors:
+    """Factors of the pseudoinverse of *A*, its numerical rank and sigma_n.
+
+    Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
+    as zero, so rank-deficient input yields the least-squares /
+    minimum-norm inverse.  A patterned matrix of full row rank (see the
+    module docstring) is factored in closed form, a certified one by QR with
+    the pseudoinverse left unformed, and the rest by one SVD.  The factors
+    keep a copy of *A*, never *A* itself.
+    """
+    return _pinv_factors(as_matrix(np.array(A, dtype=float)))
+
+
 def pseudoinverse(A) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a dense real matrix (see
     :func:`pinv_factors` for the rank cutoff)."""
-    return pinv_factors(A).pseudoinverse()
+    return pinv_factors(A).apply(np.eye(np.shape(A)[1]))
 
 
 def svd_rank(A) -> tuple[np.ndarray, int]:

@@ -66,7 +66,12 @@ class SampleDirections:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "direction matrix").copy()
-        norms = np.linalg.norm(m, axis=0)
+        with np.errstate(over="ignore"):  # an infinite norm is rejected below, with no warning
+            norms = np.sqrt(np.add.reduce(m * m, axis=0))
+        radius = float(norms.max())
+        if radius == np.inf:  # W = S .* S, or the radius with its squares, would overflow
+            j = int(norms.argmax())
+            raise ParameterError(f"direction column {j} is too large: its squares overflow")
         if norms.min() < _MIN_NORM:  # W = S .* S would underflow, and the diagonal with it
             if not np.any(m, axis=0).all():
                 raise ParameterError("every direction column must be nonzero")
@@ -81,7 +86,7 @@ class SampleDirections:
                 raise ParameterError(f"direction columns {i} and {j} are identical")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "radius", float(norms.max()))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def n(self) -> int:

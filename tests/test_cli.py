@@ -82,6 +82,16 @@ def test_approx_rejects_a_scale_whose_squares_underflow():
     assert "too small: its squares underflow" in res.stderr
 
 
+def test_approx_rejects_a_scale_whose_squares_overflow(capsys):
+    from cshd import cli
+
+    argv = ["approx", "--function", "expprod3", "--point", "3,2,1", "--set", "cb", "--h", "1e300"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: direction column 0 is too large: its squares overflow\n"
+
+
 @pytest.mark.parametrize("h", ["-1", "0", "nan", "inf"])
 def test_bad_h_gets_the_library_scale_message(h, tmp_path, capsys):
     from cshd import cli

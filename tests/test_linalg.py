@@ -112,7 +112,7 @@ def test_qr_route_is_as_accurate_as_the_explicit_q(n, extra, log_kappa, seed):
     # residual vanishes and the semi-normal equations alone lose accuracy.
     random_rows, range_rows = rng.standard_normal((3, k)), rng.standard_normal((3, n)) @ A
     for got, b in ((factors.apply(random_rows), random_rows), (factors.apply(range_rows), range_rows),
-                   (factors.pseudoinverse(), np.eye(k))):
+                   (factors.apply(np.eye(k)), np.eye(k))):
         truth = b @ P
         # The reference's own error often falls far below the least-squares
         # perturbation scale eps kappa (1 + kappa ||b - y A|| / ||y||), so

@@ -79,7 +79,6 @@ def test_plan_matches_direct_formulas():
                 assert bb.pinv_norm == pytest.approx(pinv_ref, rel=RTOL)
                 assert bb.cross_term == pytest.approx(cross_ref, rel=RTOL, abs=1e-12)
                 assert bb.total == pytest.approx(total_ref, rel=RTOL)
-                assert g.directions is S and d.directions is S
                 checked += 1
     assert checked == 3 * 7 * len(HS)
 
@@ -138,7 +137,7 @@ def test_grid_studies_use_exact_evaluations():
 def _matches_numpy(A, factors):
     """Pseudoinverse, n-th singular value and full rank agree with numpy's SVD."""
     return (
-        _close(factors.pseudoinverse(), np.linalg.pinv(A))
+        _close(factors.apply(np.eye(A.shape[1])), np.linalg.pinv(A))
         and _close(factors.sigma_n(), np.linalg.svd(A, compute_uv=False)[A.shape[0] - 1])
         and factors.rank == min(A.shape)
     )
@@ -147,8 +146,8 @@ def _matches_numpy(A, factors):
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Records the ``compute_uv`` of every np.linalg.svd call while the test
-    runs: False for the singular values of a QR triangle r or of r^-1 (the
-    route's fallbacks), True for a full SVD."""
+    runs: False for singular values alone (``svd_rank``, or ``sigma_n``'s
+    fallback on the QR route), True for a full SVD."""
     calls = []
     svd = np.linalg.svd
 
@@ -222,7 +221,7 @@ def test_well_separated_custom_set_needs_no_svd_and_no_solve(svd_calls, monkeypa
     svd_calls.clear()
     plan = StencilPlan(S)
     plan.scaled_estimates(*np.ones((2, 1, 201)), [0.1])
-    plan.s_factors.pseudoinverse()
+    plan.s_factors.apply(np.eye(201))
     # Only the triangles are computed: q is never formed.
     assert modes == ["r", "r"] and svd_calls == [] and solves == []
     assert plan.s_factors.qr is not None and plan.w_factors.qr is not None
@@ -275,7 +274,7 @@ def test_rank_deficient_pattern_falls_back_to_svd(svd_calls):
     n = 5
     A = np.eye(n) - np.ones((n, n)) / n
     f = pinv_factors(A)
-    assert svd_calls == [False, True] and f.rank == n - 1
+    assert svd_calls == [True] and f.rank == n - 1
     assert _close(f.pinv, np.linalg.pinv(A))
     # S = 2I - 11^T is patterned with full rank, but W = 11^T has rank 1.
     S = SampleDirections(2.0 * np.eye(3) - 1.0)
@@ -291,7 +290,7 @@ def test_pattern_below_the_normal_range_is_factored_by_qr(svd_calls):
     A = 1e-160 * (np.eye(3) + 0.3)
     f = pinv_factors(A)
     assert svd_calls == [] and f.rank == 3 and f.pinv is None
-    assert _close(1e-160 * f.pseudoinverse(), 1e-160 * np.linalg.pinv(A))
+    assert _close(1e-160 * f.apply(np.eye(3)), 1e-160 * np.linalg.pinv(A))
 
 
 def _check_plan_against_numpy(S, rng):
@@ -352,8 +351,8 @@ def test_unpatterned_full_rank_matrices_are_factored_by_qr(svd_calls):
     plan = StencilPlan(S)
     assert True not in svd_calls
     assert plan.s_factors.pinv is None and plan.w_factors.pinv is None
-    assert _close(plan.s_factors.pseudoinverse().T, np.linalg.pinv(S.matrix.T))
-    assert _close(plan.w_factors.pseudoinverse().T, np.linalg.pinv(S.squared().T))
+    assert _close(plan.s_factors.apply(np.eye(4)).T, np.linalg.pinv(S.matrix.T))
+    assert _close(plan.w_factors.apply(np.eye(4)).T, np.linalg.pinv(S.squared().T))
 
 
 def test_rank_deficient_or_short_sets_reach_the_full_svd(svd_calls):
@@ -362,7 +361,7 @@ def test_rank_deficient_or_short_sets_reach_the_full_svd(svd_calls):
     m = rng.standard_normal((4, 6))
     m[1] = m[0] * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     plan = StencilPlan(SampleDirections(m))
-    assert svd_calls == [False, True] and plan.w_rank == 3
+    assert svd_calls == [True] and plan.w_rank == 3
     assert plan.s_factors.pinv is None and plan.w_factors.qr is None
     # k < n: the QR route does not apply to either matrix.
     svd_calls.clear()
@@ -388,8 +387,44 @@ def test_qr_route_rank_agrees_with_svd_rank_near_the_cutoff(factor, svd_calls):
         A = random_conditioned(rng, n, n) @ np.diag(s) @ np.linalg.qr(rng.standard_normal((k, n)))[0].T
         svd_calls.clear()
         rank = pinv_factors(A).rank
+        # No kappa this large is certified: the full SVD decides either way.
+        assert svd_calls == [True]
         assert rank == svd_rank(A)[1] == (n if factor > 1 else n - 1)
-        assert (True in svd_calls) == (factor < 1)
+
+
+# The fixture is shared by the examples, so the test clears it itself.
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 40),
+    extra=st.floats(0.0, 1.0),
+    log_kappa=st.floats(1.0, 14.0),
+    shape=st.sampled_from(["full", "deficient", "short"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_custom_sets_take_the_certified_qr_or_one_full_svd(n, extra, log_kappa, shape, seed,
+                                                           svd_calls):
+    # A = u diag(s) v^T with s from 1 down to 1 / kappa and k from n to 2n; a
+    # deficient A has its last singular value set to 0, a short one k < n.
+    rng = np.random.default_rng(seed)
+    k = 1 + int(extra * (n - 2)) if shape == "short" else n + int(extra * n)
+    r = min(n, k)
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, r)))[0]
+    s = np.logspace(0.0, -log_kappa, r)
+    if shape == "deficient":
+        s[-1] = 0.0
+    A = (u * s) @ v.T
+    # Two SVDs of A may round its smallest singular value apart: keep it off the cutoff.
+    sv = np.linalg.svd(A, compute_uv=False)
+    cutoff = max(n, k) * np.finfo(float).eps * sv[0]
+    assume(not cutoff / 4.0 < sv[-1] < 4.0 * cutoff)
+    svd_calls.clear()
+    factors = pinv_factors(A)
+    # Certified and factored by QR with no SVD, or decided by one full SVD.
+    assert svd_calls in ([], [True])
+    assert (svd_calls == []) == (factors.qr is not None)
+    assert factors.rank == svd_rank(A)[1]
 
 
 def test_plan_keeps_the_condition_number_of_s():

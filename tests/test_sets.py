@@ -93,6 +93,23 @@ def test_column_whose_squares_underflow_is_rejected(h):
     assert S.scaled(1e-150).radius == 1e-150
 
 
+@pytest.mark.parametrize("h", [1e155, 1e300])
+def test_column_whose_squares_overflow_is_rejected(h):
+    # A column norm above sqrt(max) ~ 1.34e154 makes the radius and W = S .* S
+    # infinite; the guard raises before either is formed, with no warning.
+    message = "^direction column 0 is too large: its squares overflow$"
+    with pytest.raises(ParameterError, match=message):
+        build_set(SetKind.CB, 2, h)
+    with pytest.raises(ParameterError, match="too large"):
+        build_set(SetKind.RMPB, 3, h)
+    # Every entry's square is finite here, but not the sum of column 1's.
+    m = np.eye(4)
+    m[:, 1] = 1e154
+    with pytest.raises(ParameterError, match="column 1 is too large"):
+        SampleDirections(m)
+    assert build_set(SetKind.CB, 2, 1e150).radius == 1e150
+
+
 def test_lonely_squared_has_full_row_rank():
     rng = np.random.default_rng(8)
     for _ in range(200):
