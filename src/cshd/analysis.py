@@ -135,14 +135,11 @@ def relative_error(approx, truth) -> float:
     Rejects a zero truth vector; use :func:`absolute_error` for cases such
     as a function whose Hessian diagonal vanishes identically.
     """
-    a = as_vector(approx, "approx")
-    t = as_vector(truth, "truth")
-    if a.size != t.size:
-        raise DimensionError(f"approx and truth differ in dimension: {a.size} vs {t.size}")
-    nt = float(np.linalg.norm(t))
+    err = absolute_error(approx, truth)
+    nt = float(np.linalg.norm(truth))
     if nt == 0.0:
         raise ParameterError("truth vector is zero: relative error undefined, use absolute_error")
-    return float(np.linalg.norm(a - t)) / nt
+    return err / nt
 
 
 def absolute_error(approx, truth) -> float:

@@ -111,7 +111,6 @@ class EvaluatedStencil:
     From :func:`evaluate_stencils` the arrays have one row per scale h and
     ``evals_used`` counts every point of them."""
 
-    x0: np.ndarray
     f0: float
     plus_vals: np.ndarray   # f(x0 + s_i)
     minus_vals: np.ndarray  # f(x0 - s_i)
@@ -123,7 +122,7 @@ class EvaluatedStencil:
         """The stencil of an evaluation at one scale, without the scale axis."""
         if self.delta_c.ndim != 2 or self.delta_c.shape[0] != 1:
             raise ParameterError("single() needs an evaluation at exactly one scale")
-        return EvaluatedStencil(self.x0, self.f0, self.plus_vals[0], self.minus_vals[0],
+        return EvaluatedStencil(self.f0, self.plus_vals[0], self.minus_vals[0],
                                 self.delta_c[0], self.eps[0], self.evals_used)
 
 
@@ -168,13 +167,11 @@ def evaluate_stencils(
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1 or hs.size == 0 or not (np.isfinite(hs).all() and (hs > 0).all()):
         raise ParameterError(f"scales must be a nonempty list of positive finite values: {hs!r}")
-    if known_f0 is None:
-        head = 1
-    else:
+    head = int(known_f0 is None)  # the row of x0, when f(x0) is not known
+    if not head:
         f0 = float(known_f0)
         if not math.isfinite(f0):
             raise ParameterError(f"known_f0 must be finite, got {known_f0!r}")
-        head = 0
     n, k, m = S.n, S.k, hs.size
     points = np.empty((head + 2 * k * m, n))
     points[:head] = x0
@@ -201,7 +198,7 @@ def evaluate_stencils(
     delta_c = 0.5 * (plus - minus)
     # Grouped as (f+ - f0) + (f- - f0) to limit cancellation against a large f0.
     eps = (plus - f0) + (minus - f0)
-    return EvaluatedStencil(x0, f0, plus, minus, delta_c, eps, points.shape[0])
+    return EvaluatedStencil(f0, plus, minus, delta_c, eps, points.shape[0])
 
 
 def evaluate_stencil(
@@ -286,12 +283,12 @@ class StencilPlan:
         return g, d
 
     def estimates(
-        self, stencil: EvaluatedStencil, S: SampleDirections, h: float = 1.0
+        self, stencil: EvaluatedStencil, h: float = 1.0
     ) -> tuple[GradientEstimate, DiagHessianEstimate]:
         """The gradient and Hessian-diagonal estimates from a stencil
-        evaluated over ``S = h * self.directions``: the one-scale case of
+        evaluated over ``h * self.directions``: the one-scale case of
         :meth:`scaled_estimates`."""
-        if stencil.delta_c.shape != (self.directions.k,) or S.k != self.directions.k:
+        if stencil.delta_c.shape != (self.directions.k,):
             raise ParameterError("stencil was built over a different direction set")
         g, d = self.scaled_estimates(stencil.delta_c[np.newaxis], stencil.eps[np.newaxis], [h])
         return GradientEstimate(g[0]), DiagHessianEstimate(d[0], self.w_rank_deficient)
@@ -299,11 +296,11 @@ class StencilPlan:
 
 def centered_gradient(stencil: EvaluatedStencil, S: SampleDirections) -> GradientEstimate:
     """g = pinv(S^T) @ delta_c, the generalized centered simplex gradient."""
-    return StencilPlan(S).estimates(stencil, S)[0]
+    return StencilPlan(S).estimates(stencil)[0]
 
 
 def centered_hessian_diagonal(stencil: EvaluatedStencil, S: SampleDirections) -> DiagHessianEstimate:
     """d = pinv(W^T) @ eps with W = S .* S, the centered simplex Hessian
     diagonal."""
-    return StencilPlan(S).estimates(stencil, S)[1]
+    return StencilPlan(S).estimates(stencil)[1]
 

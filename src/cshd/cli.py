@@ -22,7 +22,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_BOUND_INAPPLICABLE = 3
 EXIT_REPRODUCTION_FAILED = 4
 
-_CONFIG_KEYS = ("function", "point", "set", "h", "h_grid", "f0", "format", "out", "with_bound")
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -52,13 +51,29 @@ def _parse_set(text: str) -> SetKind | SampleDirections:
         ) from None
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """Key = value lines; blank lines and # comments ignored."""
+def _config_relative_set(value: str, config_dir: Path) -> str:
+    """A stripped ``set`` value from a config file: a relative ``custom:PATH``
+    is taken from the config file's directory, not from the cwd."""
+    prefix, path = value[:len("custom:")], value[len("custom:"):]
+    if prefix.lower() != "custom:" or not path:
+        return value
+    return prefix + str(config_dir / path)
+
+
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The config file's ``key = value`` lines as the flags they name: blank
+    lines and # comments are ignored, ``key = value`` is ``--key=value`` and
+    ``with_bound`` is ``--with-bound`` or ``--no-with-bound``.  A key must
+    name an option of the subcommand other than --config, once."""
+    path = args.config
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    out: dict[str, str] = {}
+    # The parsed namespace holds exactly the subcommand's options, plus the
+    # subcommand's name; neither that nor --config can be set from the file.
+    settable = vars(args).keys() - {"command", "config"}
+    flags = []
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,38 +83,18 @@ def _load_config(path: str) -> dict[str, str]:
         if not sep:
             raise ParameterError(f"{path}: line {lineno}: expected key = value")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"{path}: line {lineno}: unknown key {key!r}")
+        value = value.strip()
+        if key not in settable:
+            raise ParameterError(f"{path}: line {lineno}: key {key!r} does not apply to {args.command}")
         if key in seen:
             raise ParameterError(
                 f"{path}: line {lineno}: duplicate key {key!r}, already set on line {seen[key]}")
-        out[key], seen[key] = value.strip(), lineno
-    return out
-
-
-def _config_relative_set(value: str, config_dir: Path) -> str:
-    """A ``set`` value read from a config file: a relative ``custom:PATH``
-    is taken from the config file's directory, not from the cwd."""
-    text = value.strip()
-    prefix, path = text[:len("custom:")], text[len("custom:"):]
-    if prefix.lower() != "custom:" or not path:
-        return value
-    return prefix + str(config_dir / path)
-
-
-def _config_argv(args: argparse.Namespace) -> list[str]:
-    """The config file's lines as the flags they name: ``key = value`` is
-    ``--key=value`` and ``with_bound`` is ``--with-bound`` or ``--no-with-bound``."""
-    cfg = _load_config(args.config)
-    if "set" in cfg:
-        cfg["set"] = _config_relative_set(cfg["set"], Path(args.config).parent)
-    flags = []
-    for key, value in cfg.items():
-        if not hasattr(args, key):
-            raise ParameterError(f"{args.config}: key {key!r} does not apply to {args.command}")
+        seen[key] = lineno
         if key == "with_bound" and value.lower() not in _TRUE + _FALSE:
             raise ParameterError(
                 f"config with_bound must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
+        if key == "set":
+            value = _config_relative_set(value, Path(path).parent)
         flags.append(f"--{key.replace('_', '-')}={value}" if key != "with_bound"
                      else "--with-bound" if value.lower() in _TRUE else "--no-with-bound")
     return flags

@@ -142,8 +142,7 @@ class _RowBuilder:
 
         Returns the rows, the ``(m, n)`` gradient and diagonal estimates, the
         evaluated stencils and the bounds (``None`` without a bound).  Each
-        row counts its 2k evaluations; the first also counts f(x0) when it
-        was evaluated here.
+        row counts its 2k evaluations, and none counts f(x0).
         """
         stencil = evaluate_stencils(obj, self.point, self.plan.directions, hs, known_f0=known_f0)
         g, d = self.plan.scaled_estimates(stencil.delta_c, stencil.eps, hs)
@@ -154,8 +153,6 @@ class _RowBuilder:
         abs_diag = np.linalg.norm(d - self.truth_diag, axis=1).tolist()
         err_grad = np.linalg.norm(g - self.truth_grad, axis=1).tolist()
         unit = self.plan.directions
-        evals = [2 * unit.k] * len(radii)
-        evals[0] += int(known_f0 is None)
         rows = [
             ReportRow(
                 function=self.func.name,
@@ -168,10 +165,10 @@ class _RowBuilder:
                 rer_grad=e / self.grad_norm if self.grad_norm > 0.0 else None,
                 bound_total=b.total if b else None,
                 bound_cross=b.cross_term if b else None,
-                evals=ev,
+                evals=2 * unit.k,
             )
-            for h, r, a, e, b, ev in zip(np.asarray(hs, dtype=float).tolist(), radii,
-                                         abs_diag, err_grad, bounds, evals)
+            for h, r, a, e, b in zip(np.asarray(hs, dtype=float).tolist(), radii,
+                                     abs_diag, err_grad, bounds)
         ]
         return rows, g, d, stencil, bounds
 
@@ -192,21 +189,28 @@ def run_approx(
     builder = _RowBuilder(func, point, S, with_bound)
     rows, g, d, stencil, bounds = builder.rows(obj, [1.0], [S.radius], known_f0)
     diag = DiagHessianEstimate(d[0], builder.plan.w_rank_deficient)
-    return ApproxResult(GradientEstimate(g[0]), diag, stencil.f0, replace(rows[0], h=h), bounds[0], obj)
+    row = replace(rows[0], h=h, evals=stencil.evals_used)
+    return ApproxResult(GradientEstimate(g[0]), diag, stencil.f0, row, bounds[0], obj)
 
 
 def _grid_rows(func: RegistryFunction, point: np.ndarray, directions: SetKind | SampleDirections,
                hs: np.ndarray, with_bound: bool):
     """Rows for a descending-h grid over one factored unit-scale set: f(x0)
-    once, then every stencil point of every h as one array."""
+    and every stencil point of every h as one array.
+
+    Returns the rows, their absolute diagonal errors, their metric (the
+    relative error when defined, the absolute error otherwise), f(x0) and
+    ||diag(H)||."""
     unit = build_scaled_set(directions, func.dim, 1.0)
     builder = _RowBuilder(func, point, unit, with_bound)
     obj = func.objective()
-    f0 = float(obj.values(point[np.newaxis], lambda r: "x0")[0])
-    # Every h gets its own validated set; its radius is the row's delta_s.
+    # Every h gets its own validated set, before any evaluation; its radius
+    # is the row's delta_s.
     radii = [unit.scaled(h).radius for h in hs.tolist()]
-    rows = builder.rows(obj, hs, radii, f0)[0]
-    return rows, np.array([r.abs_err_diag for r in rows]), f0, builder.diag_norm
+    rows, _, _, stencil, _ = builder.rows(obj, hs, radii, None)
+    abs_errs = np.array([r.abs_err_diag for r in rows])
+    metrics = abs_errs / builder.diag_norm if builder.diag_norm > 0.0 else abs_errs
+    return rows, abs_errs, metrics, stencil.f0, builder.diag_norm
 
 
 def _descending_grid(hs) -> np.ndarray:
@@ -226,11 +230,6 @@ def _middle(values: np.ndarray) -> float:
     return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
-def _metric(row: ReportRow) -> float:
-    """Relative error when defined, absolute error otherwise."""
-    return row.rer_diag if row.rer_diag is not None else row.abs_err_diag
-
-
 @dataclass(frozen=True)
 class SweepResult:
     report: ExperimentReport
@@ -247,7 +246,7 @@ def run_sweep(func: RegistryFunction, point, directions: SetKind | SampleDirecti
     ``directions`` is a named set, built in R^n, or a set scaled by each h."""
     point = _checked_point(func, point)
     hs = _descending_grid(hs)
-    rows, abs_errs, f0, truth_norm = _grid_rows(func, point, directions, hs, with_bound)
+    rows, abs_errs, metrics, f0, truth_norm = _grid_rows(func, point, directions, hs, with_bound)
 
     # Keep rows whose error is credibly truncation (above the round-off
     # floor eps*|f0| / delta^2 and above noise relative to the truth).
@@ -256,7 +255,6 @@ def run_sweep(func: RegistryFunction, point, directions: SetKind | SampleDirecti
     kept = abs_errs > floor
     fitted = convergence_order(hs[kept], abs_errs[kept]) if kept.sum() >= 3 else None
 
-    metrics = np.array([_metric(r) for r in rows])
     best = int(np.argmin(metrics))
     report = ExperimentReport(
         rows, summary_lines(fitted_order=fitted, best_h=hs[best], best_rer=metrics[best]))
@@ -280,8 +278,7 @@ def run_limit_study(func: RegistryFunction, point, directions: SetKind | SampleD
     ``directions`` is taken as in :func:`run_sweep`."""
     point = _checked_point(func, point)
     hs = DEFAULT_LIMIT_GRID if hs is None else _descending_grid(hs)
-    rows, _, _, _ = _grid_rows(func, point, directions, hs, with_bound=False)
-    metrics = np.array([_metric(r) for r in rows])
+    rows, _, metrics, _, _ = _grid_rows(func, point, directions, hs, with_bound=False)
 
     lo, hi = PLATEAU_WINDOW
     window = (hs >= lo * (1.0 - 1e-9)) & (hs <= hi * (1.0 + 1e-9))

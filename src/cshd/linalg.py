@@ -48,24 +48,23 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate *a* as a nonempty finite 2-d float array."""
+def _as_array(a, ndim: int, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate *a* as a nonempty finite 2-d float array."""
+    return _as_array(a, 2, name)
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
     """Validate *a* as a nonempty finite 1-d float array."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ParameterError(f"{name} contains NaN or infinite entries")
-    return arr
+    return _as_array(a, 1, name)
 
 
 def _svd_cutoff(shape: tuple[int, int], smax: float) -> float:

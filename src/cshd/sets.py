@@ -110,8 +110,11 @@ class SampleDirections:
         return bool(np.all(np.count_nonzero(np.abs(self.matrix) > tol, axis=0) == 1))
 
     def scaled(self, h: float) -> "SampleDirections":
-        """The same directions multiplied by a positive factor h."""
-        return SampleDirections(_checked_scale(h) * self.matrix, self.kind)
+        """The same directions multiplied by a positive factor h.  Every
+        |entry| is at most the radius, so a finite h * radius keeps them finite."""
+        if float(_checked_scale(h)) * self.radius == np.inf:
+            raise ParameterError(f"scale h={h} is too large: the scaled directions overflow")
+        return SampleDirections(h * self.matrix, self.kind)
 
 
 def regular_basis(n: int) -> np.ndarray:

@@ -92,6 +92,19 @@ def test_approx_rejects_a_scale_whose_squares_overflow(capsys):
     assert captured.err == "error: direction column 0 is too large: its squares overflow\n"
 
 
+def test_a_scale_whose_products_overflow_exits_2_with_no_warning(tmp_path, capsys):
+    from cshd import cli
+
+    path = tmp_path / "big.txt"
+    path.write_text("2 3\n1 0 1e10\n0 1 -1\n")
+    base = ["--function", "rosenbrock2", "--point", "0.9,0.81", "--set", f"custom:{path}"]
+    for argv in (["sweep", *base, "--h-grid", "1e300:1e298:0.1"], ["approx", *base, "--h", "1e300"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scale h=1e+300 is too large: the scaled directions overflow\n"
+
+
 @pytest.mark.parametrize("h", ["-1", "0", "nan", "inf"])
 def test_bad_h_gets_the_library_scale_message(h, tmp_path, capsys):
     from cshd import cli
@@ -353,6 +366,27 @@ def test_config_keys_must_apply_to_the_subcommand(tmp_path, capsys):
         assert f"key {key!r} does not apply to {command}" in captured.err
     cfg.write_text(base)
     assert cli.main(["limit-study", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["approx", "sweep", "limit-study"])
+def test_config_key_naming_no_option_is_rejected_with_its_line(command, tmp_path, capsys):
+    from cshd import cli
+
+    # The subcommand's name and --config are namespace attributes, not
+    # options a file can set; an unknown key gets the same message.
+    base = "function = rosenbrock2\npoint = 0.9,0.81\nset = cb\n"
+    cfg = tmp_path / "study.cfg"
+    for line in ("command = x", "config = y", "foo = 1", "help = 1"):
+        cfg.write_text(base + line + "\n")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        key = line.split(" = ")[0]
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: line 4: key {key!r} does not apply to {command}\n"
+    # The first line that names no option is the one reported.
+    cfg.write_text(base + "h = 1\nfoo = 2\n")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 4: key 'h' does not apply to sweep\n"
 
 
 def test_config_rejects_a_duplicate_key(tmp_path, capsys):

@@ -128,6 +128,41 @@ def test_grid_failure_at_x0_is_named_like_approx(study, raises):
     assert obj.evals == 1
 
 
+@pytest.mark.parametrize("study", ["sweep", "limit"])
+def test_a_bad_scale_is_named_before_any_evaluation(study):
+    # Every h's set is validated before the grid's one evaluation call, so
+    # f(x0) is not evaluated either.
+    base = get("rosenbrock2")
+    point = np.array([0.9, 0.81])
+    big = SampleDirections(np.array([[1.0, 0.0, 1e10], [0.0, 1.0, -1.0]]))
+    cases = ((SetKind.CB, [1e-2, 1e-3, 1e-170], "^direction column 0 is too small"),
+             (SetKind.CB, [1e300, 1e-2, 1e-3], "^direction column 0 is too large"),
+             (big, [1e300, 1e-2, 1e-3], r"^scale h=1e\+300 is too large"))
+    for directions, hs, match in cases:
+        func = CountedFunction(base.name, base.dim, base.fn, base.gradient, base.hessian,
+                               base.lipschitz_d3)
+        with pytest.raises(ParameterError, match=match):
+            if study == "sweep":
+                ex.run_sweep(func, point, directions, hs, with_bound=True)
+            else:
+                ex.run_limit_study(func, point, directions, hs=hs)
+        (obj,) = func.issued
+        assert obj.evals == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_point_gets_the_same_error_from_every_study(bad):
+    func = get("rosenbrock2")
+    point = np.array([bad, 0.81])
+    hs = [1e-1, 1e-2, 1e-3]
+    runs = (lambda: ex.run_approx(func, point, build_set(SetKind.CB, 2, 1e-2)),
+            lambda: ex.run_sweep(func, point, SetKind.CB, hs),
+            lambda: ex.run_limit_study(func, point, SetKind.CB, hs=[1e-2, 1e-3, 1e-4]))
+    for run in runs:
+        with pytest.raises(ParameterError, match="^x0 contains NaN or infinite entries$"):
+            run()
+
+
 def test_sweep_names_the_h_that_underflows():
     # Columns of norm ~1e20 keep h*S valid down to h ~ 1e-170, while h^2
     # underflows to 0 below h ~ 2e-162 and the estimates become 0/0.
@@ -228,7 +263,7 @@ def test_single_set_evaluation_is_the_one_row_grid():
         assert np.array_equal(one.minus_vals, grid.minus_vals[j])
         assert np.array_equal(one.eps, grid.eps[j])
         # One row and m rows may go through different BLAS kernels.
-        ge, de = plan.estimates(one, S, h)
+        ge, de = plan.estimates(one, h)
         assert np.allclose(ge.value, g[j], rtol=1e-14, atol=0.0)
         assert np.allclose(de.value, d[j], rtol=1e-14, atol=0.0)
     for bad in ([], [0.1, 0.0], [0.1, np.inf], [[0.1]], [-0.1]):

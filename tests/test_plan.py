@@ -70,7 +70,7 @@ def test_plan_matches_direct_formulas():
             for h in HS:
                 S = unit.scaled(h)
                 st = evaluate_stencil(f, x0, S)
-                g, d = plan.estimates(st, S, h)
+                g, d = plan.estimates(st, h)
                 lip = float(rng.uniform(0.0, 10.0))
                 bb = plan_error_bound(plan, S.radius, lip, cross)
                 g_ref, d_ref, pinv_ref, cross_ref, total_ref = _direct(S, st, lip, H)
@@ -97,7 +97,7 @@ def test_plan_rank_flag_matches_svd_rank():
         plan = StencilPlan(S)
         assert plan.w_rank_deficient == expected
         st = evaluate_stencil(lambda y: float(y @ y), np.zeros(n), S)
-        assert plan.estimates(st, S)[1].w_rank_deficient == expected
+        assert plan.estimates(st)[1].w_rank_deficient == expected
         if expected:
             deficient += 1
             with pytest.raises(BoundInapplicableError):

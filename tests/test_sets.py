@@ -110,6 +110,20 @@ def test_column_whose_squares_overflow_is_rejected(h):
     assert build_set(SetKind.CB, 2, 1e150).radius == 1e150
 
 
+def test_a_scale_whose_products_overflow_is_named_before_multiplying():
+    # Every |entry| is at most the radius, so one finite h * radius covers
+    # every product; the check raises before h * S is formed, with no warning.
+    S = SampleDirections(np.array([[1.0, 0.0, 1e10], [0.0, 1.0, -1.0]]))
+    message = "^scale h=1e+300 is too large: the scaled directions overflow$"
+    for h in (1e300, np.float64(1e300)):
+        with pytest.raises(ParameterError, match=message.replace("+", r"\+")):
+            S.scaled(h)
+    # A finite h * radius passes on to the squares' own guard.
+    with pytest.raises(ParameterError, match="^direction column 0 is too large"):
+        S.scaled(1e298)
+    assert S.scaled(1e140).radius == 1e150
+
+
 def test_lonely_squared_has_full_row_rank():
     rng = np.random.default_rng(8)
     for _ in range(200):
