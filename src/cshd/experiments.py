@@ -5,14 +5,18 @@ experiments with their expected values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import BoundBreakdown, convergence_order, cross_term_sum, plan_error_bound
 from .calculus import (
     DiagHessianEstimate,
+    EvaluatedStencil,
     GradientEstimate,
+    Objective,
     StencilPlan,
     evaluate_stencils,
 )
@@ -101,76 +105,89 @@ class ApproxResult:
             w_rank_deficient=self.diag.w_rank_deficient, **bound))
 
 
-def _certified_lipschitz(func: RegistryFunction, point: np.ndarray, radius: float) -> float:
-    if func.lipschitz_d3 is None:
-        raise ParameterError(f"no certified third-derivative Lipschitz bound for {func.name}")
-    return float(func.lipschitz_d3(point, radius))
-
-
 def _checked_point(func: RegistryFunction, point) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     if point.shape != (func.dim,):
         raise ParameterError(f"{func.name} expects a point in R^{func.dim}, got {point.shape}")
+    # min and max are finite exactly when every entry is; no temporary array.
+    if not (math.isfinite(point.min()) and math.isfinite(point.max())):
+        raise ParameterError("x0 contains NaN or infinite entries")
     return point
 
 
-class _RowBuilder:
-    """Report rows at one point over one direction set at any scales.
+class _Study(NamedTuple):
+    """The rows of one study and the arrays they were built from, one
+    entry per h: ``g`` and ``d`` are ``(m, n)``, and ``metrics`` is the
+    relative diagonal error, or the absolute one when ||diag(H)|| = 0."""
+
+    rows: list[ReportRow]
+    g: np.ndarray
+    d: np.ndarray
+    radii: np.ndarray
+    abs_errs: np.ndarray
+    metrics: np.ndarray
+    diag_norm: float
+    stencil: EvaluatedStencil
+    bounds: list[BoundBreakdown | None]
+    w_rank_deficient: bool
+    objective: Objective
+
+
+def _study(func: RegistryFunction, point: np.ndarray, directions: SetKind | SampleDirections,
+           hs: np.ndarray, with_bound: bool, known_f0: float | None = None) -> _Study:
+    """Evaluate the stencils over ``hs[j] * unit`` as one array, f(x0)
+    included unless known, and build one row per h.
 
     Everything that depends on the point or the unit-scale set and not on h
-    is computed once here: the set's :class:`StencilPlan`, the analytic
-    gradient and diagonal with their norms and, with a bound, the
-    scale-invariant cross term.
+    is computed once: the set's :class:`StencilPlan`, the analytic gradient
+    and diagonal with their norms and, with a bound, the scale-invariant
+    cross term.  Each row counts its 2k evaluations, and none counts f(x0).
     """
-
-    def __init__(self, func: RegistryFunction, point: np.ndarray, unit: SampleDirections,
-                 with_bound: bool):
-        self.func = func
-        self.point = point
-        self.label = fmt_point(point)
-        self.plan = StencilPlan(unit)
-        self.truth_grad = func.gradient(point)
-        hess = func.hessian(point)
-        self.truth_diag = np.diag(hess).copy()
-        self.grad_norm = float(np.linalg.norm(self.truth_grad))
-        self.diag_norm = float(np.linalg.norm(self.truth_diag))
-        self.cross = 2.0 * cross_term_sum(unit, hess) if with_bound else None
-
-    def rows(self, obj, hs, radii: list[float], known_f0: float | None):
-        """Evaluate the stencils over ``hs[j] * unit`` as one array and build
-        one row per h; ``radii[j]`` is the radius of that scaled set.
-
-        Returns the rows, the ``(m, n)`` gradient and diagonal estimates, the
-        evaluated stencils and the bounds (``None`` without a bound).  Each
-        row counts its 2k evaluations, and none counts f(x0).
-        """
-        stencil = evaluate_stencils(obj, self.point, self.plan.directions, hs, known_f0=known_f0)
-        g, d = self.plan.scaled_estimates(stencil.delta_c, stencil.eps, hs)
-        bounds = [None] * len(radii)
-        if self.cross is not None:
-            lips = [_certified_lipschitz(self.func, self.point, r) for r in radii]
-            bounds = [plan_error_bound(self.plan, r, lip, self.cross) for r, lip in zip(radii, lips)]
-        abs_diag = np.linalg.norm(d - self.truth_diag, axis=1).tolist()
-        err_grad = np.linalg.norm(g - self.truth_grad, axis=1).tolist()
-        unit = self.plan.directions
-        rows = [
-            ReportRow(
-                function=self.func.name,
-                point=self.label,
-                set=unit.kind.value,
-                h=h,
-                delta_s=r,
-                rer_diag=a / self.diag_norm if self.diag_norm > 0.0 else None,
-                abs_err_diag=a,
-                rer_grad=e / self.grad_norm if self.grad_norm > 0.0 else None,
-                bound_total=b.total if b else None,
-                bound_cross=b.cross_term if b else None,
-                evals=2 * unit.k,
-            )
-            for h, r, a, e, b in zip(np.asarray(hs, dtype=float).tolist(), radii,
-                                     abs_diag, err_grad, bounds)
-        ]
-        return rows, g, d, stencil, bounds
+    obj = func.objective()
+    label = fmt_point(point)
+    unit = build_scaled_set(directions, func.dim, 1.0)
+    plan = StencilPlan(unit)
+    truth_grad = func.gradient(point)
+    hess = func.hessian(point)
+    truth_diag = np.diag(hess).copy()
+    cross = 2.0 * cross_term_sum(unit, hess) if with_bound else None
+    del hess  # the n x n Hessian is not kept while the stencil is evaluated
+    # Every h gets its own validated set, before any evaluation; its radius
+    # is the row's delta_s.
+    radii = np.array([build_scaled_set(unit, func.dim, h).radius for h in hs.tolist()])
+    stencil = evaluate_stencils(obj, point, unit, hs, known_f0=known_f0)
+    g, d = plan.scaled_estimates(stencil.delta_c, stencil.eps, hs)
+    bounds = [None] * hs.size
+    if cross is not None:
+        if func.lipschitz_d3 is None:
+            raise ParameterError(f"no certified third-derivative Lipschitz bound for {func.name}")
+        lips = [float(func.lipschitz_d3(point, r)) for r in radii.tolist()]
+        bounds = [plan_error_bound(plan, r, lip, cross) for r, lip in zip(radii.tolist(), lips)]
+    abs_errs = np.linalg.norm(d - truth_diag, axis=1)
+    diag_norm = float(np.linalg.norm(truth_diag))
+    metrics = abs_errs / diag_norm if diag_norm > 0.0 else abs_errs
+    rer_diag = metrics.tolist() if diag_norm > 0.0 else [None] * hs.size
+    grad_norm = float(np.linalg.norm(truth_grad))
+    err_grad = np.linalg.norm(g - truth_grad, axis=1).tolist()
+    rows = [
+        ReportRow(
+            function=func.name,
+            point=label,
+            set=unit.kind.value,
+            h=h,
+            delta_s=r,
+            rer_diag=rer,
+            abs_err_diag=a,
+            rer_grad=e / grad_norm if grad_norm > 0.0 else None,
+            bound_total=b.total if b else None,
+            bound_cross=b.cross_term if b else None,
+            evals=2 * unit.k,
+        )
+        for h, r, rer, a, e, b in zip(hs.tolist(), radii.tolist(), rer_diag, abs_errs.tolist(),
+                                      err_grad, bounds)
+    ]
+    return _Study(rows, g, d, radii, abs_errs, metrics, diag_norm, stencil, bounds,
+                  plan.w_rank_deficient, obj)
 
 
 def run_approx(
@@ -185,32 +202,11 @@ def run_approx(
     against the analytic truth and (optionally) the error-bound breakdown.
     ``h`` only labels the row: S is used as given."""
     point = _checked_point(func, point)
-    obj = func.objective()
-    builder = _RowBuilder(func, point, S, with_bound)
-    rows, g, d, stencil, bounds = builder.rows(obj, [1.0], [S.radius], known_f0)
-    diag = DiagHessianEstimate(d[0], builder.plan.w_rank_deficient)
-    row = replace(rows[0], h=h, evals=stencil.evals_used)
-    return ApproxResult(GradientEstimate(g[0]), diag, stencil.f0, row, bounds[0], obj)
-
-
-def _grid_rows(func: RegistryFunction, point: np.ndarray, directions: SetKind | SampleDirections,
-               hs: np.ndarray, with_bound: bool):
-    """Rows for a descending-h grid over one factored unit-scale set: f(x0)
-    and every stencil point of every h as one array.
-
-    Returns the rows, their absolute diagonal errors, their metric (the
-    relative error when defined, the absolute error otherwise), f(x0) and
-    ||diag(H)||."""
-    unit = build_scaled_set(directions, func.dim, 1.0)
-    builder = _RowBuilder(func, point, unit, with_bound)
-    obj = func.objective()
-    # Every h gets its own validated set, before any evaluation; its radius
-    # is the row's delta_s.
-    radii = [unit.scaled(h).radius for h in hs.tolist()]
-    rows, _, _, stencil, _ = builder.rows(obj, hs, radii, None)
-    abs_errs = np.array([r.abs_err_diag for r in rows])
-    metrics = abs_errs / builder.diag_norm if builder.diag_norm > 0.0 else abs_errs
-    return rows, abs_errs, metrics, stencil.f0, builder.diag_norm
+    study = _study(func, point, S, np.ones(1), with_bound, known_f0)
+    diag = DiagHessianEstimate(study.d[0], study.w_rank_deficient)
+    row = replace(study.rows[0], h=h, evals=study.stencil.evals_used)
+    return ApproxResult(GradientEstimate(study.g[0]), diag, study.stencil.f0, row, study.bounds[0],
+                        study.objective)
 
 
 def _descending_grid(hs) -> np.ndarray:
@@ -246,19 +242,18 @@ def run_sweep(func: RegistryFunction, point, directions: SetKind | SampleDirecti
     ``directions`` is a named set, built in R^n, or a set scaled by each h."""
     point = _checked_point(func, point)
     hs = _descending_grid(hs)
-    rows, abs_errs, metrics, f0, truth_norm = _grid_rows(func, point, directions, hs, with_bound)
+    study = _study(func, point, directions, hs, with_bound)
 
     # Keep rows whose error is credibly truncation (above the round-off
     # floor eps*|f0| / delta^2 and above noise relative to the truth).
-    deltas = np.array([r.delta_s for r in rows])
-    floor = 100.0 * _EPS * np.maximum(abs(f0) / deltas**2, truth_norm)
-    kept = abs_errs > floor
-    fitted = convergence_order(hs[kept], abs_errs[kept]) if kept.sum() >= 3 else None
+    floor = 100.0 * _EPS * np.maximum(abs(study.stencil.f0) / study.radii**2, study.diag_norm)
+    kept = study.abs_errs > floor
+    fitted = convergence_order(hs[kept], study.abs_errs[kept]) if kept.sum() >= 3 else None
 
-    best = int(np.argmin(metrics))
-    report = ExperimentReport(
-        rows, summary_lines(fitted_order=fitted, best_h=hs[best], best_rer=metrics[best]))
-    return SweepResult(report, fitted, float(hs[best]), float(metrics[best]))
+    best = int(np.argmin(study.metrics))
+    report = ExperimentReport(study.rows, summary_lines(
+        fitted_order=fitted, best_h=hs[best], best_rer=study.metrics[best]))
+    return SweepResult(report, fitted, float(hs[best]), float(study.metrics[best]))
 
 
 @dataclass(frozen=True)
@@ -278,7 +273,8 @@ def run_limit_study(func: RegistryFunction, point, directions: SetKind | SampleD
     ``directions`` is taken as in :func:`run_sweep`."""
     point = _checked_point(func, point)
     hs = DEFAULT_LIMIT_GRID if hs is None else _descending_grid(hs)
-    rows, _, metrics, _, _ = _grid_rows(func, point, directions, hs, with_bound=False)
+    study = _study(func, point, directions, hs, with_bound=False)
+    metrics = study.metrics
 
     lo, hi = PLATEAU_WINDOW
     window = (hs >= lo * (1.0 - 1e-9)) & (hs <= hi * (1.0 + 1e-9))
@@ -289,8 +285,8 @@ def run_limit_study(func: RegistryFunction, point, directions: SetKind | SampleD
     plateau = _middle(metrics[window])
 
     best = int(np.argmin(metrics))
-    nonmonotone = bool(best < len(rows) - 1 and metrics[-1] >= NONMONOTONE_FACTOR * metrics[best])
-    report = ExperimentReport(rows, summary_lines(
+    nonmonotone = bool(best < hs.size - 1 and metrics[-1] >= NONMONOTONE_FACTOR * metrics[best])
+    report = ExperimentReport(study.rows, summary_lines(
         plateau_rer=plateau, inf_rer=metrics[best], inf_h=hs[best], nonmonotone=nonmonotone))
     return LimitStudyResult(report, plateau, float(metrics[best]), float(hs[best]), nonmonotone)
 

@@ -8,6 +8,7 @@ estimates used by the error bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,8 +66,14 @@ def _rosenbrock_hess(y):
     )
 
 
+# log(DBL_MAX): np.exp is finite up to this exponent and overflows past it.
+# Returning inf past it keeps numpy's overflow warning off stderr.
+_LOG_DBL_MAX = 709.782712893384
+
+
 def _expprod(y):
-    return float(np.exp(y[0] * y[1] * y[2]))
+    u = float(y[0] * y[1] * y[2])
+    return math.inf if u > _LOG_DBL_MAX else float(np.exp(u))
 
 
 def _expprod_grad(y):
@@ -91,8 +98,9 @@ def _expprod_lipschitz(x0, delta):
     m1 = float(max(b[0] * b[1], b[0] * b[2], b[1] * b[2]))
     m2 = float(b.max())
     entry = m1**4 + 6.0 * m2 * m1**2 + 3.0 * m2**2 + 4.0 * m1
+    u = b[0] * b[1] * b[2]
     # sqrt(3**4) = 9 converts the entrywise bound to a Frobenius bound.
-    return 9.0 * float(np.exp(b[0] * b[1] * b[2])) * entry
+    return 9.0 * (math.inf if u > _LOG_DBL_MAX else float(np.exp(u))) * entry
 
 
 def _quartic(y):

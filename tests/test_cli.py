@@ -105,6 +105,35 @@ def test_a_scale_whose_products_overflow_exits_2_with_no_warning(tmp_path, capsy
         assert captured.err == "error: scale h=1e+300 is too large: the scaled directions overflow\n"
 
 
+@pytest.mark.parametrize("command", [["approx"], ["sweep", "--h-grid", "1e-1:1e-3:0.1"]],
+                         ids=["approx", "sweep"])
+def test_a_non_finite_point_with_a_bound_is_named_as_the_point(command, capsys):
+    from cshd import cli
+
+    argv = [*command, "--function", "rosenbrock2", "--point", "nan,1", "--set", "cb"]
+    assert cli.main([*argv, "--with-bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x0 contains NaN or infinite entries\n"
+
+
+def test_an_exp_overflow_prints_one_error_line_and_no_warning(tmp_path):
+    # A subprocess keeps Python's default warning filters, so a leaked numpy
+    # RuntimeWarning would reach stderr ahead of the error line.
+    path = tmp_path / "ill.txt"
+    path.write_text("3 4\n1 2 3 4\n1 2 3 4.0000001\n0 1 0 1\n")
+    base = ["--function", "expprod3", "--point", "3,2,1"]
+    cases = ((["limit-study", *base, "--set", f"custom:{path}"], "non-finite value inf at x0 + s4"),
+             (["approx", *base, "--set", "cb", "--h", "7", "--with-bound"],
+              "Lipschitz constant must be finite and nonnegative, got inf"))
+    for argv, message in cases:
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {message}")
+        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+
+
 @pytest.mark.parametrize("h", ["-1", "0", "nan", "inf"])
 def test_bad_h_gets_the_library_scale_message(h, tmp_path, capsys):
     from cshd import cli

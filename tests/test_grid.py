@@ -22,7 +22,7 @@ from cshd.calculus import StencilPlan, evaluate_stencil, evaluate_stencils
 from cshd.exceptions import ParameterError, StencilError
 from cshd.registry import get
 from cshd.report import FORMATS
-from cshd.sets import SampleDirections, SetKind, build_set
+from cshd.sets import SampleDirections, SetKind, build_set, load_directions
 
 from helpers import CountedFunction, random_conditioned
 
@@ -155,12 +155,59 @@ def test_a_non_finite_point_gets_the_same_error_from_every_study(bad):
     func = get("rosenbrock2")
     point = np.array([bad, 0.81])
     hs = [1e-1, 1e-2, 1e-3]
-    runs = (lambda: ex.run_approx(func, point, build_set(SetKind.CB, 2, 1e-2)),
+    S = build_set(SetKind.CB, 2, 1e-2)
+    runs = (lambda: ex.run_approx(func, point, S),
+            lambda: ex.run_approx(func, point, S, with_bound=True),
             lambda: ex.run_sweep(func, point, SetKind.CB, hs),
+            lambda: ex.run_sweep(func, point, SetKind.CB, hs, with_bound=True),
             lambda: ex.run_limit_study(func, point, SetKind.CB, hs=[1e-2, 1e-3, 1e-4]))
     for run in runs:
         with pytest.raises(ParameterError, match="^x0 contains NaN or infinite entries$"):
             run()
+
+
+# The CI's ill-conditioned 3 x 4 set: its radius is ~5.7, so at the default
+# grid's largest h, 10^0.5, exp(y1 y2 y3) overflows at x0 + h s4.
+ILL_CONDITIONED = "3 4\n1 2 3 4\n1 2 3 4.0000001\n0 1 0 1\n"
+
+
+def test_an_overflowing_value_is_named_with_no_warning(tmp_path):
+    # Under the suite's error::RuntimeWarning, a leaked overflow warning would
+    # be raised inside the evaluation instead of the StencilError below.
+    path = tmp_path / "ill.txt"
+    path.write_text(ILL_CONDITIONED)
+    with pytest.raises(StencilError, match=r"^non-finite value inf at x0 \+ s4"):
+        ex.run_limit_study(get("expprod3"), np.array([3.0, 2.0, 1.0]), load_directions(path))
+
+
+@pytest.mark.parametrize("name,point", [("rosenbrock2", ex.POINT_X1), ("expprod3", ex.POINT_E41),
+                                        ("bilinear2", np.array([0.5, -0.8]))])
+def test_every_summary_comes_from_the_rows_error_column(name, point):
+    # rer_diag is abs_err_diag / ||diag H|| exactly; bilinear2's diagonal is
+    # 0, so its rows leave rer_diag empty and its summaries use abs_err_diag.
+    func = get(name)
+    norm = float(np.linalg.norm(func.diag_hessian(point)))
+    lo, hi = ex.PLATEAU_WINDOW
+    for kind in KINDS[:4]:
+        sweep = ex.run_sweep(func, point, kind, 10.0 ** -np.arange(0.0, 6.0, 0.5), with_bound=True)
+        study = ex.run_limit_study(func, point, kind)
+        for result in (sweep, study):
+            rows = result.report.rows
+            for row in rows:
+                assert row.rer_diag == (row.abs_err_diag / norm if norm > 0.0 else None)
+            column = np.array([r.abs_err_diag if norm == 0.0 else r.rer_diag for r in rows])
+            hs = np.array([r.h for r in rows])
+            best = int(np.argmin(column))
+            summary = result.report.summary()
+            if result is sweep:
+                assert (sweep.best_metric, sweep.best_h) == (column[best], hs[best])
+                assert float(summary["best_rer"]) == column[best]
+            else:
+                window = (hs >= lo * (1.0 - 1e-9)) & (hs <= hi * (1.0 + 1e-9))
+                assert study.plateau == float(np.median(column[window]))
+                assert (study.grid_inf, study.grid_inf_h) == (column[best], hs[best])
+                assert float(summary["plateau_rer"]) == study.plateau
+                assert float(summary["inf_rer"]) == column[best]
 
 
 def test_sweep_names_the_h_that_underflows():
