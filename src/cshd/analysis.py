@@ -12,7 +12,7 @@ import numpy as np
 
 from .calculus import StencilPlan
 from .exceptions import BoundInapplicableError, DimensionError, ParameterError
-from .linalg import as_matrix, as_vector, diagonal_pattern
+from .linalg import as_matrix, as_vector
 from .sets import SampleDirections
 
 __all__ = [
@@ -69,16 +69,15 @@ def cross_term_sum(S: SampleDirections, hess) -> float:
 
     Scale invariant: replacing S by h*S leaves the value unchanged.  For a
     set of the paper's pattern (d on the diagonal, b off it and an optional
-    constant column of c; see :func:`~cshd.linalg.diagonal_pattern`) it
+    constant column of c; see :attr:`~cshd.sets.SampleDirections.pattern`) it
     takes O(n^2) work from the Hessian's row sums: with off_i = sum_{j != i}
     H_ij and T = sum(off) / 2, the term of column i is (d - b) b off_i + b^2 T
     and that of the constant column c^2 T, over radius^2.  Any other set
     takes one n x n x k product.
     """
     H = _validated_hessian(S, hess)
-    pattern = diagonal_pattern(S.matrix)
-    if pattern is not None:
-        d, b, c = (v / S.radius for v in pattern)
+    if S.pattern is not None:
+        d, b, c = (v / S.radius for v in S.pattern)
         off = H.sum(axis=1) - H.diagonal()
         t = float(off.sum()) / 2.0
         terms = abs(c * c * t) if S.k > S.n else 0.0

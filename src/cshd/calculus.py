@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError, StencilError
-from .linalg import PinvFactors, _pinv_factors, as_vector, svd_rank
+from .linalg import (PinvFactors, _closed_factors, _pinv_factors, _unpatterned_factors, as_vector,
+                     svd_rank)
 from .sets import SampleDirections
 
 __all__ = [
@@ -224,6 +225,9 @@ class StencilPlan:
     SVD for the rest.  ``s_factors`` applies pinv(S^T) and ``w_factors``
     pinv(W^T) to stencil data; on the QR route neither pseudoinverse is
     formed, as that would cost most of what the route saves over the SVD.
+    The closed form takes S's factors from its pattern ``(d, b, c)`` and
+    W's from ``(d^2, b^2, c^2)``, which is W's pattern entry for entry, so
+    it keeps only scalars and forms neither W nor a pseudoinverse.
     ``w_rank`` is the numerical rank of W and ``w_sigma_min`` the n-th
     singular value of the radius-normalized W~ = W / radius^2 (0 when W has
     fewer than n columns; on the QR route a certified lower bound, so the
@@ -242,8 +246,11 @@ class StencilPlan:
     def __post_init__(self):
         S = self.directions
         # S.matrix is frozen and W is fresh, so the factors keep them uncopied.
-        s = _pinv_factors(S.matrix)
-        w = _pinv_factors(S.squared())
+        # W = S .* S has the pattern (d^2, b^2, c^2) entry for entry, and is
+        # formed only when no closed form applies; W may have a pattern that S has not.
+        w_pattern = None if S.pattern is None else tuple(v * v for v in S.pattern)
+        s = _closed_factors(S.matrix.shape, S.pattern) or _unpatterned_factors(S.matrix)
+        w = _closed_factors(S.matrix.shape, w_pattern) or _pinv_factors(S.squared())
         for a in (s.pinv, w.pinv, *(s.qr or ()), *(w.qr or ())):
             if a is not None:
                 a.flags.writeable = False

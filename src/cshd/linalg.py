@@ -4,8 +4,12 @@ numerical rank with one cutoff rule.
 The pseudoinverse is factored by the first of three routes that applies:
 
 * the closed form, for the pattern shared by the paper's four direction
-  sets and their squares: an n x n matrix with one value on the diagonal
-  and one off it, optionally followed by a constant column;
+  sets and their squares: an n x n matrix with one value d on the diagonal
+  and one b off it, optionally followed by a constant column of c.  The
+  factors keep four scalars and form no pinv(A): a row r of stencil data
+  maps to (Pd - Pb) r_i + Pb sum_{j<n} r_j + Pc r_n, O(k) per row.  A
+  caller that knows the pattern, as a direction set does for itself and its
+  square, passes (d, b, c), and A need not exist;
 * the triangle r of a QR factorization A^T = q r, for any other n x k
   matrix with k >= n, and x = r^-1.  As A A^T = r^T r, pinv(A) = A^T x x^T,
   applied with no q by Bjorck's corrected semi-normal equations (CSNE;
@@ -89,19 +93,32 @@ def _invert_upper(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class PinvFactors(NamedTuple):
     """The factors of pinv(A) for an n x k matrix A.
 
-    ``pinv`` is pinv(A) itself on the closed-form and SVD routes, and
-    ``sigma`` the n-th singular value of A there (0 when k < n).  On the
-    QR route both are None and ``qr`` holds ``(A, x)``, with A read-only
-    and x = r^-1 for A^T = q r, so pinv(A) = A^T x x^T.
+    ``sigma`` is the n-th singular value of A (0 when k < n) on the
+    closed-form and SVD routes.  On the SVD route ``pinv`` is pinv(A)
+    itself.  On the closed-form route ``closed`` holds ``(n, Pd - Pb, Pb,
+    Pc)``, the scalars of pinv(A)'s pattern, and no array is kept.  On the
+    QR route ``pinv`` and ``sigma`` are None and ``qr`` holds ``(A, x)``,
+    with A read-only and x = r^-1 for A^T = q r, so pinv(A) = A^T x x^T.
     """
 
     pinv: np.ndarray | None
     rank: int                    # singular values above the cutoff
     sigma: float | None = None
     qr: tuple[np.ndarray, np.ndarray] | None = None
+    closed: tuple[int, float, float, float] | None = None
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """``rows @ pinv(A)`` for an (m, k) array: pinv(A^T) applied to every row."""
+        if self.closed is not None:
+            # Entry i of a row r is (Pd - Pb) r_i + Pb sum_{j<n} r_j + Pc r_n.
+            n, diff, pb, pc = self.closed
+            head = rows[..., :n]
+            out = head * diff
+            if pb:  # cb's Pb is an exact 0: its rows come out as head * Pd, bit for bit
+                out += pb * head.sum(axis=-1, keepdims=True)
+            if rows.shape[-1] > n:
+                out += pc * rows[..., n:]
+            return out
         if self.qr is None:
             return rows @ self.pinv
         a, x = self.qr
@@ -161,24 +178,25 @@ def diagonal_pattern(A: np.ndarray) -> tuple[float, float, float] | None:
     return d, b, c
 
 
-def _patterned_factors(A: np.ndarray) -> PinvFactors | None:
-    # For A of the diagonal pattern, A A^T = p I + ((big - p) / n) 11^T:
-    # singular values sqrt(big) once and sqrt(p) n - 1 times, and
-    # Sherman-Morrison gives A^T (A A^T)^-1.
-    pattern = diagonal_pattern(A)
+def _closed_factors(shape: tuple[int, int], pattern) -> PinvFactors | None:
+    # For an n x k matrix A of the pattern (d, b, c) (see diagonal_pattern),
+    # A A^T = p I + ((big - p) / n) 11^T: singular values sqrt(big) once and
+    # sqrt(p) n - 1 times, and Sherman-Morrison gives pinv(A) = A^T (A A^T)^-1,
+    # whose entry (j, i) is (A_ij - beta s_j) / p for the column sums s_j.
     if pattern is None:
         return None
     d, b, c = pattern
-    n = A.shape[0]
+    n = shape[0]
     q = d - b
     r = q + n * b
     p, big = q * q, r * r + n * c * c
     lo, hi = sorted((p, big))
-    if not (lo >= _TINY and np.sqrt(lo) > _svd_cutoff(A.shape, np.sqrt(hi))):
-        return None  # rank deficient, or p or big not a normal double: the SVD decides
-    pinv = A - ((big - p) / n / big) * A.sum(axis=0)
-    pinv /= p
-    return PinvFactors(pinv.T, n, float(np.sqrt(lo)))
+    if not (lo >= _TINY and np.sqrt(lo) > _svd_cutoff(shape, np.sqrt(hi))):
+        return None  # rank deficient, or p or big not a normal double: QR or the SVD decides
+    beta = (big - p) / n / big
+    s = d + (n - 1) * b
+    pd, pb, pc = (d - beta * s) / p, (b - beta * s) / p, (c - beta * (n * c)) / p
+    return PinvFactors(None, n, float(np.sqrt(lo)), closed=(n, pd - pb, pb, pc))
 
 
 def _qr_factors(A: np.ndarray) -> PinvFactors | None:
@@ -203,9 +221,9 @@ def _qr_factors(A: np.ndarray) -> PinvFactors | None:
     return PinvFactors(None, n, None, (A, x))
 
 
-def _pinv_factors(A: np.ndarray) -> PinvFactors:
-    # pinv_factors for a finite 2-d float array that the factors may keep as it is.
-    factors = _patterned_factors(A) or _qr_factors(A)
+def _unpatterned_factors(A: np.ndarray) -> PinvFactors:
+    # The QR route when it is certified, else one full SVD; A is not copied.
+    factors = _qr_factors(A)
     if factors is not None:
         return factors
     u, s, vt = np.linalg.svd(A, full_matrices=False)
@@ -216,15 +234,20 @@ def _pinv_factors(A: np.ndarray) -> PinvFactors:
     return PinvFactors((vt.T * inv) @ u.T, int(np.count_nonzero(keep)), sigma_n)
 
 
+def _pinv_factors(A: np.ndarray) -> PinvFactors:
+    # pinv_factors for a finite 2-d float array that the factors may keep as it is.
+    return _closed_factors(A.shape, diagonal_pattern(A)) or _unpatterned_factors(A)
+
+
 def pinv_factors(A) -> PinvFactors:
     """Factors of the pseudoinverse of *A*, its numerical rank and sigma_n.
 
     Singular values at or below ``max(n, k) * sigma_max * eps`` are treated
     as zero, so rank-deficient input yields the least-squares /
     minimum-norm inverse.  A patterned matrix of full row rank (see the
-    module docstring) is factored in closed form, a certified one by QR with
-    the pseudoinverse left unformed, and the rest by one SVD.  The factors
-    keep a copy of *A*, never *A* itself.
+    module docstring) is factored in closed form, as four scalars, a
+    certified one by QR with the pseudoinverse left unformed, and the rest
+    by one SVD.  The factors keep a copy of *A*, never *A* itself.
     """
     return _pinv_factors(as_matrix(np.array(A, dtype=float)))
 

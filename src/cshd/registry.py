@@ -87,6 +87,14 @@ def _expprod_hess(y):
     return _expprod(y) * (np.outer(g, g) + cross)
 
 
+def _power(x: float, e: int) -> float:
+    """x ** e for a float x >= 0, or inf where ``**`` raises OverflowError."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 def _expprod_lipschitz(x0, delta):
     """Certified (loose) bound for exp(y1 y2 y3) on B(x0, delta).
 
@@ -94,10 +102,11 @@ def _expprod_lipschitz(x0, delta):
     exp(u), u trilinear, via the partition expansion: blocks of size 1, 2, 3
     contribute at most m1, m2, 1 respectively, and size-4 blocks vanish.
     """
-    b = np.abs(np.asarray(x0, dtype=float)) + float(delta)
-    m1 = float(max(b[0] * b[1], b[0] * b[2], b[1] * b[2]))
-    m2 = float(b.max())
-    entry = m1**4 + 6.0 * m2 * m1**2 + 3.0 * m2**2 + 4.0 * m1
+    # Python floats, whose products go to inf with no warning once they overflow.
+    b = [abs(v) + float(delta) for v in np.asarray(x0, dtype=float).tolist()]
+    m1 = max(b[0] * b[1], b[0] * b[2], b[1] * b[2])
+    m2 = max(b)
+    entry = _power(m1, 4) + 6.0 * m2 * _power(m1, 2) + 3.0 * _power(m2, 2) + 4.0 * m1
     u = b[0] * b[1] * b[2]
     # sqrt(3**4) = 9 converts the entrywise bound to a Frobenius bound.
     return 9.0 * (math.inf if u > _LOG_DBL_MAX else float(np.exp(u))) * entry

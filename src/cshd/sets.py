@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ParameterError
-from .linalg import as_matrix
+from .linalg import as_matrix, diagonal_pattern
 
 __all__ = [
     "SetKind",
@@ -58,14 +58,32 @@ class SampleDirections:
 
     ``radius`` is the largest column norm; it is cached at construction and
     the matrix is made read-only, so instances are safe to share.
+    ``pattern`` is ``(d, b, c)`` when the matrix is d on the diagonal and b
+    off it, optionally followed by a constant column of c, as the paper's
+    four sets are (see :func:`~cshd.linalg.diagonal_pattern`), and None
+    otherwise.  It is detected once, when a set is constructed from a
+    matrix; :meth:`scaled` derives it.
     """
 
     matrix: np.ndarray
     kind: SetKind = SetKind.CUSTOM
     radius: float = field(init=False)
+    pattern: tuple[float, float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "direction matrix").copy()
+        self._freeze(m, diagonal_pattern(m))
+
+    @classmethod
+    def _owning(cls, m: np.ndarray, kind: SetKind, pattern) -> "SampleDirections":
+        # A set that takes the fresh, finite array m as it is, with m's pattern.
+        directions = object.__new__(cls)
+        object.__setattr__(directions, "kind", kind)
+        directions._freeze(m, pattern)
+        return directions
+
+    def _freeze(self, m: np.ndarray, pattern) -> None:
+        # Validate the columns of m, which this set then owns read-only.
         with np.errstate(over="ignore"):  # an infinite norm is rejected below, with no warning
             norms = np.sqrt(np.add.reduce(m * m, axis=0))
         radius = float(norms.max())
@@ -77,16 +95,19 @@ class SampleDirections:
                 raise ParameterError("every direction column must be nonzero")
             j = int(norms.argmin())
             raise ParameterError(f"direction column {j} is too small: its squares underflow")
-        # Columns keyed by their bytes; adding 0.0 turns -0.0 into 0.0, so
-        # keys are equal exactly when the columns compare equal.
-        first: dict[bytes, int] = {}
-        for j, col in enumerate(np.add(m.T, 0.0, order="C")):
-            i = first.setdefault(col.tobytes(), j)
-            if i != j:
-                raise ParameterError(f"direction columns {i} and {j} are identical")
+        if pattern is None or pattern[0] == pattern[1]:
+            # A pattern with d != b has pairwise distinct columns.  Any other
+            # columns are keyed by their bytes; adding 0.0 turns -0.0 into
+            # 0.0, so keys are equal exactly when the columns compare equal.
+            first: dict[bytes, int] = {}
+            for j, col in enumerate(np.add(m.T, 0.0, order="C")):
+                i = first.setdefault(col.tobytes(), j)
+                if i != j:
+                    raise ParameterError(f"direction columns {i} and {j} are identical")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def n(self) -> int:
@@ -107,14 +128,23 @@ class SampleDirections:
     def is_lonely(self) -> bool:
         """True iff every column has exactly one nonzero entry."""
         tol = CUSTOM_ZERO_TOL * self.radius if self.kind is SetKind.CUSTOM else 0.0
+        if self.pattern is not None:
+            # Square columns are lonely when b is zero; a constant column of
+            # n >= 2 entries never is.
+            return self.k == self.n and abs(self.pattern[1]) <= tol
         return bool(np.all(np.count_nonzero(np.abs(self.matrix) > tol, axis=0) == 1))
 
     def scaled(self, h: float) -> "SampleDirections":
         """The same directions multiplied by a positive factor h.  Every
-        |entry| is at most the radius, so a finite h * radius keeps them finite."""
-        if float(_checked_scale(h)) * self.radius == np.inf:
+        |entry| is at most the radius, so a finite h * radius keeps them finite.
+
+        Every entry of h * M is the rounded product of h and its entry of M,
+        so the pattern of the scaled set is (h d, h b, h c), with no detection."""
+        scale = float(_checked_scale(h))
+        if scale * self.radius == np.inf:
             raise ParameterError(f"scale h={h} is too large: the scaled directions overflow")
-        return SampleDirections(h * self.matrix, self.kind)
+        pattern = None if self.pattern is None else tuple(scale * v for v in self.pattern)
+        return SampleDirections._owning(scale * self.matrix, self.kind, pattern)
 
 
 def regular_basis(n: int) -> np.ndarray:
@@ -145,8 +175,8 @@ def build_set(kind: SetKind, n: int, h: float) -> SampleDirections:
         m = np.hstack([rb, np.full((n, 1), -rb[0].sum())])
     else:
         raise ParameterError("a custom direction matrix is required for kind=custom")
-    m *= h
-    return SampleDirections(m, kind)
+    m *= h  # finite, as every entry is at most 1 in magnitude
+    return SampleDirections._owning(m, kind, diagonal_pattern(m))
 
 
 def load_directions(path) -> SampleDirections:

@@ -2,9 +2,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cshd.calculus import (
     Objective,
+    StencilPlan,
     centered_gradient,
     centered_hessian_diagonal,
     evaluate_stencil,
@@ -13,7 +16,7 @@ from cshd.exceptions import ParameterError, StencilError
 from cshd.registry import get
 from cshd.sets import SampleDirections, SetKind, build_set
 
-from helpers import random_lonely
+from helpers import random_conditioned, random_lonely
 from oracles import diag_model_eval, fd_diag_hessian
 
 X1 = np.array([1.1, 1.1**2 + 1e-5])
@@ -336,6 +339,55 @@ def test_exactness_on_random_diagonal_quadratics():
         st = evaluate_stencil(f, x0, S)
         assert relative_error(centered_gradient(st, S).value, 2 * a * x0 + b) <= 1e-9
         assert relative_error(centered_hessian_diagonal(st, S).value, 2 * a) <= 1e-9
+
+
+def _diagonal_quadratic_tolerance(S, x0, D, g) -> float:
+    """A bound, fixed before any run, on ||d - D|| for the estimate over S of
+    f = 1/2 sum D_i y_i^2 + g.y, whose exact stencil data is eps = W^T D.
+
+    With u = eps/2 and F(y) = sum 1/2 |D_i| y_i^2 + |g_i y_i| bounding |f|:
+    rounding a stencil point moves f by at most 2u F(y), evaluating f costs
+    (n + 2)u F(y) and forming eps_j three more roundings, so
+    |eps_j error| <= (n + 7)u e_j with e_j = F(x0 + s_j) + F(x0 - s_j) + 2 F(x0).
+    W = S .* S itself is rounded entrywise, which adds u kappa_F(W) ||D||.
+    So ||d - D|| <= (n + 7)u ||pinv(W^T)|| ||e|| + u kappa_F(W) ||D||, and
+    applying the factors costs at most the same again: the tolerance is
+    4 (n + 8) u times both terms."""
+    u = np.finfo(float).eps / 2.0
+
+    def F(y):
+        return float(np.sum(0.5 * np.abs(D) * y * y + np.abs(g * y)))
+
+    e = np.array([F(x0 + s) + F(x0 - s) + 2.0 * F(x0) for s in S.matrix.T])
+    W = S.matrix * S.matrix
+    pinv_norm = 1.0 / np.linalg.svd(W, compute_uv=False)[-1]
+    kappa_f = float(np.linalg.norm(W)) * pinv_norm
+    return 4.0 * (S.n + 8) * u * (pinv_norm * float(np.linalg.norm(e)) + kappa_f * float(np.linalg.norm(D)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from([SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB, SetKind.CUSTOM]),
+    n=st.integers(2, 8),
+    log_h=st.floats(-3.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_quadratics_are_exact_within_round_off(kind, n, log_h, seed):
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(-10.0, 10.0, n)
+    g = rng.uniform(-10.0, 10.0, n)
+    x0 = rng.uniform(-2.0, 2.0, n)
+    if kind is SetKind.CUSTOM:  # k = 2n columns, which the certified QR route factors
+        S = SampleDirections(random_conditioned(rng, n, 2 * n)).scaled(10.0**log_h)
+        plan = StencilPlan(S)
+        assume(plan.w_factors.qr is not None)
+    else:
+        S = build_set(kind, n, 1.0).scaled(10.0**log_h)
+        plan = StencilPlan(S)
+        assert plan.w_factors.closed is not None
+    f = lambda y: float(0.5 * (D * y) @ y + g @ y)
+    d = plan.estimates(evaluate_stencil(f, x0, S))[1].value
+    assert np.linalg.norm(d - D) <= _diagonal_quadratic_tolerance(S, x0, D, g)
 
 
 def test_cubic_exactness_with_lonely_sets():

@@ -134,6 +134,15 @@ def test_an_exp_overflow_prints_one_error_line_and_no_warning(tmp_path):
         assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("point,h", [("0,0,0", "1e80"), ("1e40,1e40,0", "1e-80")])
+def test_a_lipschitz_power_that_overflows_exits_2(point, h):
+    res = run_cli("approx", "--function", "expprod3", "--point", point, "--set", "cb", "--h", h,
+                  "--with-bound")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: Lipschitz constant must be finite and nonnegative, got inf\n"
+
+
 @pytest.mark.parametrize("h", ["-1", "0", "nan", "inf"])
 def test_bad_h_gets_the_library_scale_message(h, tmp_path, capsys):
     from cshd import cli

@@ -5,6 +5,8 @@ directly over the scaled set h*S, as the estimates and the bound are
 defined, and the closed-form and QR factors against numpy's SVD-based ones.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,7 +16,9 @@ from cshd import experiments as ex
 from cshd.analysis import cross_term_sum, error_bound, plan_error_bound
 from cshd.calculus import StencilPlan, evaluate_stencil
 from cshd.exceptions import BoundInapplicableError
+from cshd import linalg, sets
 from cshd.linalg import pinv_factors, svd_rank
+from cshd.registry import get
 from cshd.sets import SampleDirections, SetKind, build_set
 
 from helpers import CountedFunction, random_conditioned
@@ -435,3 +439,68 @@ def test_plan_keeps_the_condition_number_of_s():
         assert StencilPlan(S).s_cond == pytest.approx(np.linalg.cond(S.matrix), rel=RTOL)
     assert StencilPlan(SampleDirections(np.array([[1.0], [2.0]]))).s_cond == np.inf
     assert StencilPlan(SampleDirections(np.array([[1.0, 2.0], [2.0, 4.0]]))).s_cond == np.inf
+
+
+@pytest.mark.parametrize("kind", PAPER_KINDS, ids=lambda k: k.value)
+def test_a_paper_set_plan_allocates_less_than_one_direction_matrix(kind):
+    S = build_set(kind, 200, 0.01)
+    tracemalloc.start()
+    try:
+        plan = StencilPlan(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.s_factors.closed is not None and plan.w_factors.closed is not None
+    assert peak < S.matrix.nbytes
+
+
+def test_no_paper_set_forms_w(monkeypatch):
+    def squared(self):
+        raise AssertionError("W = S .* S was formed")
+
+    monkeypatch.setattr(SampleDirections, "squared", squared)
+    for kind in PAPER_KINDS:
+        for n in (*range(2, 9), 200):
+            plan = StencilPlan(build_set(kind, n, 0.3).scaled(0.1))
+            plan.scaled_estimates(np.ones((1, plan.directions.k)), np.ones((1, plan.directions.k)), [1.0])
+        func = get("expprod3")
+        ex.run_approx(func, [3.0, 2.0, 1.0], build_set(kind, 3, 1e-2), with_bound=True)
+        ex.run_sweep(func, [3.0, 2.0, 1.0], kind, [1e-1, 1e-2, 1e-3], with_bound=True)
+
+
+def test_cb_applies_its_pseudoinverse_bit_for_bit():
+    # Pb = 0 and beta = 0 for cb, so each row is r_i * h / h^2, as a GEMM with
+    # the diagonal pseudoinverse gives it.
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 10, 200):
+        h = float(10.0 ** rng.uniform(-4.0, 0.0))
+        plan = StencilPlan(build_set(SetKind.CB, n, h))
+        rows = rng.standard_normal((3, n))
+        assert np.array_equal(plan.s_factors.apply(rows), rows @ (np.eye(n) * (h / (h * h))))
+        hh = h * h
+        assert np.array_equal(plan.w_factors.apply(rows), rows @ (np.eye(n) * (hh / (hh * hh))))
+
+
+@pytest.mark.parametrize("kind", PAPER_KINDS, ids=lambda k: k.value)
+def test_a_study_detects_the_pattern_at_most_once(kind, monkeypatch):
+    calls = []
+    detect = linalg.diagonal_pattern
+
+    def counted(A):
+        calls.append(A.shape)
+        return detect(A)
+
+    monkeypatch.setattr(linalg, "diagonal_pattern", counted)
+    monkeypatch.setattr(sets, "diagonal_pattern", counted)
+    func, point = get("rosenbrock2"), [0.9, 0.81]
+    ex.run_sweep(func, point, kind, 10.0 ** np.arange(0.0, -4.01, -0.25), with_bound=True)
+    assert len(calls) <= 1
+    calls.clear()
+    ex.run_limit_study(func, point, kind)
+    assert len(calls) <= 1
+    # A set passed in was detected when it was built; its scaled copies inherit.
+    S = build_set(kind, 2, 1.0)
+    calls.clear()
+    ex.run_sweep(func, point, S, [1e-1, 1e-2, 1e-3], with_bound=True)
+    ex.run_limit_study(func, point, S)
+    assert calls == []

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,34 @@ def test_certificates_dominate_empirical_estimates():
         est = lipschitz_oracle(func.fn, x0, delta)
         cert = func.lipschitz_d3(x0, delta)
         assert est <= cert * (1 + 1e-6)
+
+
+def _old_expprod_certificate(x0, delta):
+    # The certificate as numpy scalars computed it before its powers returned inf.
+    b = np.abs(np.asarray(x0, dtype=float)) + float(delta)
+    m1 = float(max(b[0] * b[1], b[0] * b[2], b[1] * b[2]))
+    m2 = float(b.max())
+    u = b[0] * b[1] * b[2]
+    growth = math.inf if u > math.log(np.finfo(float).max) else float(np.exp(u))
+    return 9.0 * growth * (m1**4 + 6.0 * m2 * m1**2 + 3.0 * m2**2 + 4.0 * m1)
+
+
+def test_expprod_certificate_overflows_to_inf_with_no_warning():
+    func = get("expprod3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0, delta in (([0.0, 0.0, 0.0], 1e80), ([1e40, 1e40, 0.0], 1e-80),
+                          ([0.0, 0.0, 0.0], 1e200), ([3.0, 2.0, 1.0], 7.0)):
+            assert func.lipschitz_d3(np.array(x0), delta) == np.inf
+
+
+def test_expprod_certificate_keeps_every_finite_value():
+    rng = np.random.default_rng(31)
+    func = get("expprod3")
+    for _ in range(200):
+        x0 = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 1.0)
+        delta = 10.0 ** rng.uniform(-8.0, 0.5)
+        assert func.lipschitz_d3(x0, delta) == _old_expprod_certificate(x0, delta)
 
 
 def test_bilinear_certificate_is_zero():

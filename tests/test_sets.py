@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cshd.exceptions import ParameterError
-from cshd.linalg import svd_rank
+from cshd.linalg import diagonal_pattern, svd_rank
 from cshd.sets import SampleDirections, SetKind, build_set, load_directions, regular_basis
 
 from helpers import random_lonely
@@ -242,3 +244,53 @@ def test_custom_lonely_tolerance():
     m = np.eye(3)
     m[1, 0] = 1e-16
     assert SampleDirections(m, SetKind.CUSTOM).is_lonely()
+
+
+PAPER_KINDS = (SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB)
+
+
+def _scaled_or_reject(S, h):
+    try:
+        return S.scaled(h)
+    except ParameterError:  # h * S leaves the double range: no set to compare
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(PAPER_KINDS), n=st.integers(2, 8), log_h=st.floats(-154.0, 308.0))
+def test_a_scaled_paper_set_carries_the_pattern_detection_finds(kind, n, log_h):
+    S = build_set(kind, n, 1.0)
+    assert S.pattern is not None and S.pattern == diagonal_pattern(S.matrix)
+    child = _scaled_or_reject(S, 10.0**log_h)
+    assert child.pattern == diagonal_pattern(child.matrix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(2, 8),
+    extra=st.booleans(),
+    d=st.floats(0.5, 2.0),
+    log_b=st.floats(-330.0, 0.0),
+    b_sign=st.sampled_from([-1.0, 1.0]),
+    c=st.floats(0.5, 2.0),
+    log_h=st.floats(-150.0, 50.0),
+)
+def test_a_scaled_pattern_matches_detection_where_h_b_underflows(n, extra, d, log_b, b_sign, c,
+                                                                 log_h):
+    # b runs down to subnormals and 0, so h * b underflows for many h.
+    A = np.full((n, n + extra), b_sign * 10.0**log_b)
+    np.fill_diagonal(A, d)
+    if extra:
+        A[:, n] = -c
+    S = SampleDirections(A)
+    assert S.pattern == diagonal_pattern(A)
+    child = _scaled_or_reject(S, 10.0**log_h)
+    assert child.pattern == diagonal_pattern(child.matrix)
+
+
+def test_a_set_without_the_pattern_records_none():
+    rng = np.random.default_rng(41)
+    S = SampleDirections(rng.standard_normal((3, 4)), SetKind.CB)
+    assert S.pattern is None and S.scaled(0.5).pattern is None
+    for kind in (SetKind.CMPB, SetKind.RMPB):  # n = 1: one row has no off-diagonal entry
+        assert build_set(kind, 1, 0.5).pattern is None
