@@ -6,7 +6,7 @@ errors, and convergence-order fitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     """The Hessian-diagonal error bound split into its factors.
 
     ``total = pinv_norm * (lipschitz_term + cross_term)`` where
@@ -123,7 +122,7 @@ def plan_error_bound(
     lip_term = (S.k / 12.0) * lipschitz * radius**2
     total = pinv_norm * (lip_term + cross_term)
     corollary = None
-    if plan.is_lonely:
+    if S.is_lonely():
         corollary = pinv_norm * (np.sqrt(S.k) / 12.0) * lipschitz * radius**2
     return BoundBreakdown(pinv_norm, lip_term, cross_term, total, corollary)
 

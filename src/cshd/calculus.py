@@ -17,7 +17,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class Objective:
         return np.array(out)
 
 
-@dataclass(frozen=True)
-class EvaluatedStencil:
+class EvaluatedStencil(NamedTuple):
     """Function values on the centered stencil x0, x0 +- s_i, and the
     difference vectors derived from them.
 
@@ -127,15 +126,13 @@ class EvaluatedStencil:
                                 self.delta_c[0], self.eps[0], self.evals_used)
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
+class GradientEstimate(NamedTuple):
     """Generalized centered simplex gradient."""
 
     value: np.ndarray
 
 
-@dataclass(frozen=True)
-class DiagHessianEstimate:
+class DiagHessianEstimate(NamedTuple):
     """Centered simplex Hessian diagonal.
 
     ``w_rank_deficient`` is set when W = S .* S lacks full row rank; the
@@ -228,20 +225,14 @@ class StencilPlan:
     The closed form takes S's factors from its pattern ``(d, b, c)`` and
     W's from ``(d^2, b^2, c^2)``, which is W's pattern entry for entry, so
     it keeps only scalars and forms neither W nor a pseudoinverse.
-    ``w_rank`` is the numerical rank of W and ``w_sigma_min`` the n-th
-    singular value of the radius-normalized W~ = W / radius^2 (0 when W has
-    fewer than n columns; on the QR route a certified lower bound, so the
-    error bound can only round up).  These and ``s_cond`` are fixed
-    linear-algebra facts of S; only the stencil values and the factors 1/h
-    and 1/h^2 change with the scale.
+    ``w_rank``, ``w_sigma_min`` and ``s_cond`` are fixed linear-algebra
+    facts of S; only the stencil values and the factors 1/h and 1/h^2
+    change with the scale.
     """
 
     directions: SampleDirections
     s_factors: PinvFactors = field(init=False, repr=False)
     w_factors: PinvFactors = field(init=False, repr=False)
-    w_rank: int = field(init=False)
-    w_sigma_min: float = field(init=False)
-    is_lonely: bool = field(init=False)
 
     def __post_init__(self):
         S = self.directions
@@ -256,9 +247,19 @@ class StencilPlan:
                 a.flags.writeable = False
         object.__setattr__(self, "s_factors", s)
         object.__setattr__(self, "w_factors", w)
-        object.__setattr__(self, "w_rank", w.rank)
-        object.__setattr__(self, "w_sigma_min", w.sigma_n() / S.radius**2)
-        object.__setattr__(self, "is_lonely", S.is_lonely())
+
+    @property
+    def w_rank(self) -> int:
+        """The numerical rank of W = S .* S."""
+        return self.w_factors.rank
+
+    @functools.cached_property
+    def w_sigma_min(self) -> float:
+        """The n-th singular value of the radius-normalized W~ = W / radius^2,
+        computed when first read: 0 when W has fewer than n columns, and on
+        the QR route a certified lower bound, so the error bound can only
+        round up."""
+        return self.w_factors.sigma_n() / self.directions.radius**2
 
     @functools.cached_property
     def s_cond(self) -> float:

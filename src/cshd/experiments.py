@@ -6,7 +6,7 @@ experiments with their expected values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +85,7 @@ def parse_h_grid(spec: str) -> np.ndarray:
     return np.array(hs)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     gradient: GradientEstimate
     diag: DiagHessianEstimate
     f0: float
@@ -99,7 +98,7 @@ class ApproxResult:
         """The row, with the estimates g and d, f0, the rank flag and any
         bound fields as summary lines; built on each read."""
         b = self.bound
-        bound = {} if b is None else {f"bound_{k}": v for k, v in vars(b).items() if v is not None}
+        bound = {} if b is None else {f"bound_{k}": v for k, v in b._asdict().items() if v is not None}
         return ExperimentReport([self.row], summary_lines(
             g=fmt_point(self.gradient.value), d=fmt_point(self.diag.value), f0=self.f0,
             w_rank_deficient=self.diag.w_rank_deficient, **bound))
@@ -204,7 +203,7 @@ def run_approx(
     point = _checked_point(func, point)
     study = _study(func, point, S, np.ones(1), with_bound, known_f0)
     diag = DiagHessianEstimate(study.d[0], study.w_rank_deficient)
-    row = replace(study.rows[0], h=h, evals=study.stencil.evals_used)
+    row = study.rows[0]._replace(h=h, evals=study.stencil.evals_used)
     return ApproxResult(GradientEstimate(study.g[0]), diag, study.stencil.f0, row, study.bounds[0],
                         study.objective)
 
@@ -226,8 +225,7 @@ def _middle(values: np.ndarray) -> float:
     return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     report: ExperimentReport
     fitted_order: float | None
     best_h: float
@@ -256,8 +254,7 @@ def run_sweep(func: RegistryFunction, point, directions: SetKind | SampleDirecti
     return SweepResult(report, fitted, float(hs[best]), float(study.metrics[best]))
 
 
-@dataclass(frozen=True)
-class LimitStudyResult:
+class LimitStudyResult(NamedTuple):
     report: ExperimentReport
     plateau: float
     grid_inf: float
@@ -295,8 +292,7 @@ def run_limit_study(func: RegistryFunction, point, directions: SetKind | SampleD
 # Reference reproductions
 
 
-@dataclass(frozen=True)
-class ReproCheck:
+class ReproCheck(NamedTuple):
     """One record of a reproduce table; the field names are its CSV header."""
 
     target: str
@@ -311,7 +307,7 @@ class ReproCheck:
     status: str
 
 
-REPRO_HEADER = [f.name for f in fields(ReproCheck)]
+REPRO_HEADER = list(ReproCheck._fields)
 
 POINT_X1 = np.array([1.1, 1.1**2 + 1e-5])
 POINT_X2 = np.array([0.9, 0.81])
@@ -415,9 +411,8 @@ def _judge(computed: float, reference, policy) -> tuple[str, str]:
     return tolerance, "pass" if ok else "fail"
 
 
-@dataclass
-class ReproduceResult:
-    checks: list[ReproCheck] = field(default_factory=list)
+class ReproduceResult(NamedTuple):
+    checks: Sequence[ReproCheck] = ()
 
     @property
     def failed(self) -> int:

@@ -1,16 +1,18 @@
 """Tabular experiment reports with CSV and markdown rendering.
 
-A table's row dataclass is its schema: the field names are the header, written
-by :func:`as_record` and parsed by declared type.  Floats carry 17 significant
-digits, so parsing a report back reproduces every numeric field exactly.
-Summary values are ``key=value`` comment lines from :func:`summary_lines`.
+A table's row is a ``NamedTuple`` whose ``_fields`` are its schema: the
+header, written by :func:`as_record` and parsed by declared type.  Floats
+carry 17 significant digits, so parsing a report back reproduces every
+numeric field exactly.  Summary values are ``key=value`` comment lines from
+:func:`summary_lines`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ def _texts(values) -> list[str]:
 
 def as_record(row) -> list[str]:
     """A row of any report table as text, its fields in declaration order."""
-    return _texts(vars(row).values())
+    return _texts(row)
 
 
 def summary_lines(**values) -> list[str]:
@@ -70,8 +72,7 @@ def render_table(header: list[str], records, comments, fmt: str) -> str:
     raise ParameterError(f"unknown report format {fmt!r} (expected {' or '.join(FORMATS)})")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """A row of an approx, sweep or limit-study report; the fields are the header."""
 
     function: str
@@ -87,11 +88,15 @@ class ReportRow:
     evals: int
 
 
-CSV_HEADER = [f.name for f in fields(ReportRow)]
+CSV_HEADER = list(ReportRow._fields)
 
+# Keyed on the annotation text, which NamedTuple keeps as a str or as the
+# argument of a typing.ForwardRef, depending on the Python version.
 _PARSERS = {"str": str, "int": int, "float": float,
             "float | None": lambda v: float(v) if v else None}
-_ROW_PARSERS = [(f.name, f.type, _PARSERS[f.type]) for f in fields(ReportRow)]
+_ROW_KINDS = [(name, getattr(t, "__forward_arg__", t))
+              for name, t in ReportRow.__annotations__.items()]
+_ROW_PARSERS = [(name, kind, _PARSERS[kind]) for name, kind in _ROW_KINDS]
 
 
 def _parse_row(lineno: int, record: list[str]) -> ReportRow:
@@ -108,12 +113,11 @@ def _parse_row(lineno: int, record: list[str]) -> ReportRow:
     return ReportRow(*values)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """Rows of experiment results plus key=value summary comments."""
 
-    rows: list[ReportRow] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
+    rows: Sequence[ReportRow] = ()
+    comments: Sequence[str] = ()
 
     def summary(self) -> dict[str, str]:
         """The ``key=value`` comments as a dict of their text."""

@@ -51,13 +51,16 @@ def _checked_scale(h: float) -> float:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleDirections:
     """An n x k matrix whose columns are the nonzero, pairwise distinct
-    directions added to and subtracted from the point of interest.
+    directions added to and subtracted from the point of interest.  For
+    n >= 2 no column is the negative of another, as x0 + s_j would then
+    repeat x0 - s_i; in R^1 the columns 1 and -1 are the central difference.
 
     ``radius`` is the largest column norm; it is cached at construction and
-    the matrix is made read-only, so instances are safe to share.
+    the matrix is made read-only, so instances are safe to share.  A set
+    compares and hashes by identity, so it can key a dict.
     ``pattern`` is ``(d, b, c)`` when the matrix is d on the diagonal and b
     off it, optionally followed by a constant column of c, as the paper's
     four sets are (see :func:`~cshd.linalg.diagonal_pattern`), and None
@@ -68,7 +71,7 @@ class SampleDirections:
     matrix: np.ndarray
     kind: SetKind = SetKind.CUSTOM
     radius: float = field(init=False)
-    pattern: tuple[float, float, float] | None = field(init=False, repr=False, compare=False)
+    pattern: tuple[float, float, float] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, "direction matrix").copy()
@@ -95,15 +98,23 @@ class SampleDirections:
                 raise ParameterError("every direction column must be nonzero")
             j = int(norms.argmin())
             raise ParameterError(f"direction column {j} is too small: its squares underflow")
-        if pattern is None or pattern[0] == pattern[1]:
-            # A pattern with d != b has pairwise distinct columns.  Any other
-            # columns are keyed by their bytes; adding 0.0 turns -0.0 into
-            # 0.0, so keys are equal exactly when the columns compare equal.
+        if pattern is None or abs(pattern[0]) == abs(pattern[1]):
+            # A pattern with |d| != |b| has pairwise distinct columns, none the
+            # negative of another (two square columns are negatives only for
+            # n = 2 and d = -b).  Any other columns are keyed by their bytes;
+            # 0.0 + s and 0.0 - s turn -0.0 into 0.0, so two keys are equal
+            # exactly when the columns they stand for compare equal.
+            cols = np.add(m.T, 0.0, order="C")
             first: dict[bytes, int] = {}
-            for j, col in enumerate(np.add(m.T, 0.0, order="C")):
+            for j, col in enumerate(cols):
                 i = first.setdefault(col.tobytes(), j)
                 if i != j:
                     raise ParameterError(f"direction columns {i} and {j} are identical")
+            if m.shape[0] > 1:  # in R^1, the columns 1 and -1 are the central difference
+                for j, neg in enumerate(np.subtract(0.0, cols)):
+                    i = first.get(neg.tobytes(), j)
+                    if i < j:
+                        raise ParameterError(f"direction columns {i} and {j} are antipodal")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "radius", radius)

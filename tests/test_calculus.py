@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,6 +315,63 @@ def test_estimates_unchanged_under_reflection():
     )
 
 
+def _least_squares_tolerance(S, g, delta_c) -> float:
+    """A bound, fixed before any run, on the gap between two computed
+    g = pinv(S^T) delta_c, over S with delta_c and over -S with -delta_c.
+
+    The two problems have the same solution.  The QR route (Householder QR,
+    then CSNE, which the route certifies to be as accurate), and the SVD
+    route, each solve it within the backward error ||dA|| <= e ||A|| with
+    A = S^T and e = 4 k n sqrt(n) u: gamma~_kn = 4 k n u in the Frobenius
+    norm (Higham, Accuracy and Stability, 2nd ed., Thm 20.3), sqrt(n) to the
+    2-norm.  Wedin's bound (Thm 20.1) then gives ||dg|| <= kappa e / (1 -
+    kappa e) (2 ||g|| + (kappa + 1) ||r|| / ||A||) with the residual
+    r = delta_c - A g; the gap is at most twice that."""
+    u = np.finfo(float).eps / 2.0
+    s = np.linalg.svd(S.matrix, compute_uv=False)
+    kappa, e = s[0] / s[-1], 4.0 * S.k * S.n * np.sqrt(S.n) * u
+    r = float(np.linalg.norm(delta_c - S.matrix.T @ g))
+    return 2.0 * kappa * e / (1.0 - kappa * e) * (2.0 * float(np.linalg.norm(g))
+                                                 + (kappa + 1.0) * r / s[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from([SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB, "qr", "svd"]),
+    n=st.integers(2, 8),
+    log_h=st.floats(-3.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reflection_keeps_d_bit_for_bit(kind, n, log_h, seed):
+    """S and -S share W and swap each f(x0 + s_i) with f(x0 - s_i), so eps is
+    the same two terms added in the other order: the same d, bit for bit.
+    delta_c and the closed-form factors of S change sign exactly, so g is
+    the same bit for bit there, and within a least-squares bound by QR or SVD."""
+    rng = np.random.default_rng(seed)
+    if kind == "qr":
+        S = SampleDirections(random_conditioned(rng, n, int(rng.choice([n, n + 1, 2 * n]))))
+    elif kind == "svd":  # kappa(S) = 1e9 lies past the QR route's certificate
+        u, _, vt = np.linalg.svd(rng.standard_normal((n, 2 * n)), full_matrices=False)
+        S = SampleDirections(u @ np.diag(np.geomspace(1.0, 1e-9, n)) @ vt)
+    else:
+        S = build_set(kind, n, 1.0)
+    S = S.scaled(10.0**log_h)
+    p, Q = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, n))
+    x0 = rng.uniform(-2.0, 2.0, n)
+    f = lambda y: float(np.exp(p @ y) + (Q @ y) @ y)
+    plan, flipped = StencilPlan(S), StencilPlan(SampleDirections(-S.matrix, S.kind))
+    st, st_flipped = evaluate_stencil(f, x0, S), evaluate_stencil(f, x0, flipped.directions)
+    g, d = plan.estimates(st)
+    g_flipped, d_flipped = flipped.estimates(st_flipped)
+    assert np.array_equal(d.value, d_flipped.value)
+    if plan.s_factors.closed is not None:
+        assert np.array_equal(g.value, g_flipped.value)
+    else:
+        assert kind != "svd" or plan.s_factors.qr is None
+        gap = float(np.linalg.norm(g.value - g_flipped.value))
+        assert gap <= _least_squares_tolerance(S, g.value, st.delta_c)
+
+
 def test_estimate_dimension_guard():
     S = build_set(SetKind.CB, 2, 1.0)
     other = build_set(SetKind.CMPB, 2, 1.0)
@@ -341,38 +399,68 @@ def test_exactness_on_random_diagonal_quadratics():
         assert relative_error(centered_hessian_diagonal(st, S).value, 2 * a) <= 1e-9
 
 
-def _diagonal_quadratic_tolerance(S, x0, D, g) -> float:
+def _round_off_tolerance(S, x0, D, F, ops) -> float:
     """A bound, fixed before any run, on ||d - D|| for the estimate over S of
-    f = 1/2 sum D_i y_i^2 + g.y, whose exact stencil data is eps = W^T D.
+    an f whose exact stencil data is eps = W^T D: a diagonal quadratic over
+    any set, or a cubic over a lonely set.
 
-    With u = eps/2 and F(y) = sum 1/2 |D_i| y_i^2 + |g_i y_i| bounding |f|:
-    rounding a stencil point moves f by at most 2u F(y), evaluating f costs
-    (n + 2)u F(y) and forming eps_j three more roundings, so
-    |eps_j error| <= (n + 7)u e_j with e_j = F(x0 + s_j) + F(x0 - s_j) + 2 F(x0).
-    W = S .* S itself is rounded entrywise, which adds u kappa_F(W) ||D||.
-    So ||d - D|| <= (n + 7)u ||pinv(W^T)|| ||e|| + u kappa_F(W) ||D||, and
-    applying the factors costs at most the same again: the tolerance is
-    4 (n + 8) u times both terms."""
+    With u = eps/2 and F(y) the sum of |m(y)| over the monomials m of f:
+    rounding a stencil point moves a monomial of degree p by at most p u |m|,
+    evaluating it costs u |m| per rounding on its path through f, and forming
+    eps_j three more roundings.  So |eps_j error| <= ops u e_j with
+    e_j = F(x0 + s_j) + F(x0 - s_j) + 2 F(x0), where the caller counts ops:
+    2 + (n + 2) + 3 = n + 7 for 1/2 sum D_i y_i^2 + g.y, and 3 + (n + 5) + 3
+    = n + 11 for the cubic.  W = S .* S itself is rounded entrywise, which
+    adds u kappa_F(W) ||D||, and so does the cubic's D, computed exactly
+    and rounded once.  So ||d - D|| <= ops u ||pinv(W^T)|| ||e|| +
+    2 u kappa_F(W) ||D||, and applying the factors costs at most the same
+    again: the tolerance is 4 (ops + 1) u times both terms."""
     u = np.finfo(float).eps / 2.0
-
-    def F(y):
-        return float(np.sum(0.5 * np.abs(D) * y * y + np.abs(g * y)))
-
     e = np.array([F(x0 + s) + F(x0 - s) + 2.0 * F(x0) for s in S.matrix.T])
     W = S.matrix * S.matrix
     pinv_norm = 1.0 / np.linalg.svd(W, compute_uv=False)[-1]
     kappa_f = float(np.linalg.norm(W)) * pinv_norm
-    return 4.0 * (S.n + 8) * u * (pinv_norm * float(np.linalg.norm(e)) + kappa_f * float(np.linalg.norm(D)))
+    return 4.0 * (ops + 1) * u * (pinv_norm * float(np.linalg.norm(e))
+                                  + kappa_f * float(np.linalg.norm(D)))
+
+
+def _cubic(rng, D, g, x0):
+    """f = 1/2 sum D_i y_i^2 + g.y + sum a_i y_i y_i+1 + sum c_i y_i^2 y_i+1
+    + sum b_i y_i^3, whose Hessian has off-diagonal terms, with F, the exact
+    diagonal of H(x0) rounded once, and the ops count of the tolerance: D y
+    and its dot with y take n + 1 roundings, g.y n, the a-term n, the c-term
+    n + 1 and the b-term n + 2 (the cube may take two), and the four
+    additions bring each monomial to at most n + 5."""
+    n = D.size
+    a, c = rng.uniform(-10.0, 10.0, (2, n - 1))
+    b = rng.uniform(-10.0, 10.0, n)
+
+    def f(y):
+        return float(0.5 * (D * y) @ y + g @ y + a @ (y[:-1] * y[1:]) + c @ (y[:-1] ** 2 * y[1:])
+                     + b @ y**3)
+
+    def F(y):
+        return float(np.abs(0.5 * D * y * y).sum() + np.abs(g * y).sum() + np.abs(b * y**3).sum()
+                     + np.abs(a * y[:-1] * y[1:]).sum() + np.abs(c * y[:-1] ** 2 * y[1:]).sum())
+
+    exact = [Fraction(v) + 6 * Fraction(bi) * Fraction(xi) for v, bi, xi in zip(D, b, x0)]
+    for i in range(n - 1):
+        exact[i] += 2 * Fraction(c[i]) * Fraction(x0[i + 1])
+    return f, F, np.array([float(v) for v in exact]), n + 11
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
-    kind=st.sampled_from([SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB, SetKind.CUSTOM]),
+    kind=st.sampled_from([SetKind.CB, SetKind.RB, SetKind.CMPB, SetKind.RMPB, SetKind.CUSTOM,
+                          "lonely"]),
     n=st.integers(2, 8),
     log_h=st.floats(-3.0, 0.0),
+    cubic=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_diagonal_quadratics_are_exact_within_round_off(kind, n, log_h, seed):
+def test_diagonal_quadratics_are_exact_within_round_off(kind, n, log_h, cubic, seed):
+    """So are cubics with off-diagonal Hessian terms over the lonely sets:
+    cb and scaled, permuted lonely custom sets."""
     rng = np.random.default_rng(seed)
     D = rng.uniform(-10.0, 10.0, n)
     g = rng.uniform(-10.0, 10.0, n)
@@ -381,13 +469,21 @@ def test_diagonal_quadratics_are_exact_within_round_off(kind, n, log_h, seed):
         S = SampleDirections(random_conditioned(rng, n, 2 * n)).scaled(10.0**log_h)
         plan = StencilPlan(S)
         assume(plan.w_factors.qr is not None)
+    elif kind == "lonely":
+        S = random_lonely(rng, n, n + int(rng.integers(0, 3))).scaled(10.0**log_h)
+        plan = StencilPlan(S)
     else:
         S = build_set(kind, n, 1.0).scaled(10.0**log_h)
         plan = StencilPlan(S)
         assert plan.w_factors.closed is not None
-    f = lambda y: float(0.5 * (D * y) @ y + g @ y)
+    if cubic and S.is_lonely():
+        f, F, diag, ops = _cubic(rng, D, g, x0)
+    else:
+        f = lambda y: float(0.5 * (D * y) @ y + g @ y)
+        F = lambda y: float(np.sum(0.5 * np.abs(D) * y * y + np.abs(g * y)))
+        diag, ops = D, n + 7
     d = plan.estimates(evaluate_stencil(f, x0, S))[1].value
-    assert np.linalg.norm(d - D) <= _diagonal_quadratic_tolerance(S, x0, D, g)
+    assert np.linalg.norm(d - diag) <= _round_off_tolerance(S, x0, diag, F, ops)
 
 
 def test_cubic_exactness_with_lonely_sets():

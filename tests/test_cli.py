@@ -134,6 +134,17 @@ def test_an_exp_overflow_prints_one_error_line_and_no_warning(tmp_path):
         assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
 
 
+def test_an_antipodal_custom_set_exits_2_with_one_error_line(tmp_path):
+    # x0 + s2 = x0 - s1, so two of the seven evaluations would repeat points.
+    path = tmp_path / "antipodal.txt"
+    path.write_text("2 3\n1 -1 0\n0 0 1\n")
+    res = run_cli("approx", "--function", "rosenbrock2", "--point", "0.9,0.81",
+                  "--set", f"custom:{path}", "--h", "1e-2", "--with-bound")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: direction columns 0 and 1 are antipodal\n"
+
+
 @pytest.mark.parametrize("point,h", [("0,0,0", "1e80"), ("1e40,1e40,0", "1e-80")])
 def test_a_lipschitz_power_that_overflows_exits_2(point, h):
     res = run_cli("approx", "--function", "expprod3", "--point", point, "--set", "cb", "--h", h,

@@ -504,3 +504,19 @@ def test_a_study_detects_the_pattern_at_most_once(kind, monkeypatch):
     ex.run_sweep(func, point, S, [1e-1, 1e-2, 1e-3], with_bound=True)
     ex.run_limit_study(func, point, S)
     assert calls == []
+
+
+def test_only_a_bound_reads_sigma_n(monkeypatch):
+    calls = []
+    sigma_n = linalg.PinvFactors.sigma_n
+    monkeypatch.setattr(linalg.PinvFactors, "sigma_n", lambda f: calls.append(f) or sigma_n(f))
+    func, point = get("expprod3"), [3.0, 2.0, 1.0]
+    # A full-rank 3 x 5 set with no closed form: W is factored by QR.
+    S = SampleDirections(np.array([[1.0, 0.0, 0.0, 0.5, -1.0], [0.0, 1.0, 0.0, 0.5, -1.0],
+                                   [0.0, 0.0, 1.0, -0.5, -1.0]]))
+    ex.run_limit_study(func, point, S)
+    ex.run_sweep(func, point, S, [1e-1, 1e-2, 1e-3])
+    ex.run_approx(func, point, S.scaled(1e-2))
+    assert calls == []
+    ex.run_sweep(func, point, S, [1e-1, 1e-2, 1e-3], with_bound=True)
+    assert len(calls) == 1 and calls[0].qr is not None  # once per plan, for every h

@@ -197,16 +197,45 @@ def test_duplicate_columns_named_and_signed_zeros_folded():
         # small integer entries make duplicates likely; random signs turn
         # some zeros into -0.0, which must still compare equal to 0.0
         m = rng.integers(-1, 2, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
-        distinct = len({tuple(c) for c in m.T.tolist()}) == k
+        columns = {tuple(c) for c in m.T.tolist()}
+        distinct = len(columns) == k
+        # such entries make antipodal pairs likely too, rejected for n >= 2
+        antipodal = n > 1 and any(tuple(c) in columns for c in (-m).T.tolist())
         if np.any(np.linalg.norm(m, axis=0) == 0.0):
             continue
         try:
             SampleDirections(m)
         except ParameterError as exc:
             i, j = map(int, re.search(r"columns (\d+) and (\d+)", str(exc)).groups())
-            assert not distinct and i < j and np.array_equal(m[:, i], m[:, j])
+            assert i < j
+            if not distinct:
+                assert "identical" in str(exc) and np.array_equal(m[:, i], m[:, j])
+            else:
+                assert antipodal and "antipodal" in str(exc) and np.array_equal(m[:, i], -m[:, j])
         else:
-            assert distinct
+            assert distinct and not antipodal
+
+
+def test_antipodal_columns_named_except_in_r1():
+    cases = [
+        ([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "columns 0 and 1"),
+        ([[1.0, -1.0], [-0.0, -0.0]], "columns 0 and 1"),  # -(-0.0) keys like -0.0
+        ([[1.0, 0.0, -1.0], [2.0, 1.0, -2.0]], "columns 0 and 2"),
+        ([[1.0, -1.0], [-1.0, 1.0]], "columns 0 and 1"),  # the pattern d = -b of n = 2
+    ]
+    for m, pair in cases:
+        with pytest.raises(ParameterError, match=f"^direction {pair} are antipodal$"):
+            SampleDirections(np.array(m))
+    # The central difference: in R^1 only +-1 columns exist.
+    assert SampleDirections(np.array([[1.0, -1.0]])).k == 2
+    for kind in (SetKind.CMPB, SetKind.RMPB):
+        assert build_set(kind, 1, 0.5).k == 2
+
+
+def test_sets_compare_and_hash_by_identity():
+    S, T = build_set(SetKind.RB, 3, 0.1), build_set(SetKind.RB, 3, 0.1)
+    assert S == S and S != T and hash(S) == hash(S)
+    assert {S: "s", T: "t"}[T] == "t"
 
 
 def test_matrix_is_read_only():
